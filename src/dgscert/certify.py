@@ -22,7 +22,6 @@ from .zlinalg import (
     determinant,
     factor_integer,
     smith_normal_form,
-    verify_product_of_factors,
     walk_matrix,
 )
 
@@ -178,12 +177,10 @@ def check_sqf_condition(g: Graph, effort: str = "default") -> tuple[str, dict]:
     On PASS the invariant-factor chain must take the rigid shape
     [1, ..., 1, 2, ..., 2, 2b]; a mismatch is an internal error.
     """
-    w = walk_matrix(g)
-    det = determinant(w)
+    snf = smith_normal_form(walk_matrix(g))
+    det = snf.det_sign * snf.abs_det()
     if det == 0:
         raise ValueError("the half-determinant rule needs a controllable graph")
-    snf = smith_normal_form(w)
-    verify_product_of_factors(snf, det)
     return _sqf_condition_from_snf(g.n, det, snf, factor_integer(_odd_part(snf.dn), effort))
 
 
@@ -227,16 +224,14 @@ def certify_dgs(g: Graph, effort: str = "default", autopass_report_limit: int | 
     still get a full per-prime evidence report; it never changes the verdict.
     """
     n = g.n
-    w = walk_matrix(g)
-    det = determinant(w)
-    snf = smith_normal_form(w)
+    snf = smith_normal_form(walk_matrix(g))
+    det = snf.det_sign * snf.abs_det()
     notes: list[str] = []
     if det == 0:
         return DgsVerdict(
             STATUS_NOT_CONTROLLABLE, None, n, 0, snf, None, (), None, SQF_NOT_RUN,
             ("walk matrix is singular; no certification possible",),
         )
-    verify_product_of_factors(snf, det)
     dn = snf.dn
     count_2mod4 = sum(1 for d in snf.factors if d % 4 == 2)
     if count_2mod4 > n // 2:

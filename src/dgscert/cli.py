@@ -6,13 +6,15 @@ deterministic given its flags; corpus commands can fan work out to a
 process pool without changing their output.
 
 Exit codes: 0 success / certified, 1 input error, 2 not certified or
-verification failed.
+verification failed, 3 internal invariant violated (a bug, not a property
+of the input).
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import io
 import json
@@ -25,11 +27,12 @@ from .certify import STATUS_DGS_BY_MAIN, SQF_PASS, certify_dgs
 from .errors import InvariantViolation
 from .fpalg import MODULUS_CAP
 from .graphcore import Graph, Graph6Error, derive_seed, emit_graph6, parse_adjacency, parse_graph6, random_graph
-from .zlinalg import determinant, factor_integer, smith_normal_form, walk_matrix
+from .zlinalg import factor_integer, smith_normal_form, walk_matrix
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
+EXIT_INVARIANT = 3
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +186,9 @@ class ScanRow:
 def _scan_sample(args: tuple[int, int, str]) -> tuple[int, list[tuple[str, int, int, int, bool, bool]]]:
     n, seed, effort = args
     g = random_graph(n, seed)
-    w = walk_matrix(g)
-    if determinant(w) == 0:
+    snf = smith_normal_form(walk_matrix(g))
+    if snf.dn == 0:
         return 1, []
-    snf = smith_normal_form(w)
     odd = snf.dn
     while odd % 2 == 0:
         odd //= 2
@@ -241,13 +243,25 @@ def run_conjecture_scan(n_list, samples: int, seed: int, effort: str = "default"
 # subcommand implementations
 
 
+@contextlib.contextmanager
+def _on_graph(g: Graph):
+    """Tag an invariant violation raised inside the block with g's graph6."""
+    try:
+        yield
+    except InvariantViolation as exc:
+        if exc.graph6 is None:
+            exc.graph6 = emit_graph6(g)
+        raise
+
+
 def _cmd_certify(args) -> int:
     graphs = []
     for path in args.input:
         graphs.extend(read_graphs(path, args.format))
     all_certified = True
     for g in graphs:
-        verdict = certify_dgs(g, args.effort, autopass_report_limit=args.primes_limit)
+        with _on_graph(g):
+            verdict = certify_dgs(g, args.effort, autopass_report_limit=args.primes_limit)
         all_certified = all_certified and verdict.certified
         if args.text:
             d = verdict.to_json_dict()
@@ -265,14 +279,14 @@ def _cmd_certify(args) -> int:
 
 def _cmd_snf(args) -> int:
     for g in read_graphs(args.input, args.format):
-        w = walk_matrix(g)
-        snf = smith_normal_form(w)
+        with _on_graph(g):
+            snf = smith_normal_form(walk_matrix(g))
         if args.json:
             print(
                 json.dumps(
                     {
                         "n": g.n,
-                        "det_W": str(determinant(w)),
+                        "det_W": str(snf.det_sign * snf.abs_det()),
                         "snf": [str(d) for d in snf.factors],
                         "det_sign": snf.det_sign,
                     }
@@ -478,6 +492,10 @@ def main(argv=None) -> int:
     except (Graph6Error, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except InvariantViolation as exc:
+        where = "" if exc.graph6 is None else f" (graph {exc.graph6})"
+        print(f"internal error: invariant violated: {exc}{where}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -19,8 +19,6 @@ from itertools import permutations
 from math import gcd, lcm
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InvariantViolation
 from .graphcore import Graph, emit_graph6, parse_graph6
 from .zlinalg import (
@@ -258,6 +256,8 @@ def _batched_charpolys(codes: np.ndarray, n: int, complement: bool) -> np.ndarra
     M_{k+1} = A M_k + c_k I.  At n <= 7 every intermediate is tiny, so
     int64 never overflows.
     """
+    import numpy as np  # only the enumeration oracle needs numpy
+
     m = len(codes)
     adj = np.zeros((m, n, n), dtype=np.int64)
     for b, (i, j) in enumerate(_pairs(n)):
@@ -363,6 +363,8 @@ def enumerate_generalized_cospectral_classes(
                 return EnumerationResult.from_json_dict(json.load(fh))
         except (json.JSONDecodeError, KeyError, TypeError):
             pass  # corrupted cache entry: recompute and overwrite
+
+    import numpy as np  # only the enumeration oracle needs numpy
 
     nbits = n * (n - 1) // 2
     total = 1 << nbits

@@ -3,7 +3,9 @@
 Everything here is exact: matrices hold arbitrary-precision Python integers,
 determinants come from fraction-free elimination, characteristic polynomials
 from a division-free recurrence (so the same code runs verbatim over Z and
-over F_p), and the Smith normal form from classical unimodular elimination.
+over F_p), and the Smith normal form of a nonsingular matrix from one
+elimination modulo a small multiple of d_1 ... d_(n-1) that the determinant's
+elimination supplies (singular matrices are eliminated over Z).
 Factorization is deterministic for a fixed effort level.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import InvariantViolation
 from .graphcore import Graph
@@ -123,21 +125,27 @@ def walk_matrix(g: Graph) -> IntMatrix:
     return IntMatrix.from_rows([[cols[k][i] for k in range(n)] for i in range(n)])
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination.
+def _bareiss(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """Bareiss fraction-free elimination in place: (det, trailing minors).
 
     Every division performed is exact, so intermediate entries stay at the
-    size of minors of the input rather than exploding exponentially.
+    size of minors of the input rather than exploding exponentially.  After
+    stage k each entry (i, j) of the active block is the minor on rows
+    0..k, i and columns 0..k, j (Sylvester's identity), so the trailing 2x2
+    block after stage n-3 holds four (n-1)-minors; they are returned as the
+    second item (the four entries when n = 2, empty when n < 2 or when a
+    zero pivot column shows the matrix singular before that stage).
     """
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
+    n = len(rows)
     if n == 0:
-        return 1
-    a = m.to_rows()
+        return 1, ()
+    a = rows
     sign = 1
     prev = 1
+    minors: tuple[int, ...] = ()
     for k in range(n - 1):
+        if k == n - 2:
+            minors = (a[k][k], a[k][k + 1], a[k + 1][k], a[k + 1][k + 1])
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
@@ -145,7 +153,7 @@ def determinant(m: IntMatrix) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, minors
         pivot = a[k][k]
         for i in range(k + 1, n):
             row_i = a[i]
@@ -155,7 +163,14 @@ def determinant(m: IntMatrix) -> int:
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1], minors
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    return _bareiss(m.to_rows())[0]
 
 
 def _charpoly_berkowitz(rows: list[list[int]], mod: int | None = None) -> list[int]:
@@ -207,26 +222,25 @@ def char_poly_int(m: IntMatrix) -> tuple[int, ...]:
     return tuple(_charpoly_berkowitz(m.to_rows()))
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Invariant factors of an integer matrix under unimodular row/column ops.
+def _eliminate(a: list[list[int]], modulus: int = 0) -> tuple[tuple[int, ...], int]:
+    """Invariant factors of the square matrix ``a`` over Z/modulus, in place.
 
-    Classical elimination with smallest-nonzero-entry pivoting.  Before each
-    stage the gcd of the active submatrix is divided out and re-applied as a
-    multiplier to all later factors, which keeps intermediate entries near
-    the size of the actual invariant factors.  Entry growth on adversarial
-    inputs remains the known performance hazard of this method; at the
-    dimensions used here (n <= 64) it is acceptable.
+    ``modulus`` 0 means over Z.  Classical elimination, pivoting on the
+    smallest nonzero entry.  Before each stage the gcd of the active
+    submatrix and the modulus is divided out of both and re-applied as a
+    multiplier to all later factors, which keeps entries near the size of
+    the factors.  With a modulus M the entries must come reduced mod M, stay
+    reduced mod the current modulus, and the factors are gcd(d_i, M).
+    Returns (factors, sign); over Z, sign * prod(factors) = det a.
     """
-    if not m.is_square():
-        raise ValueError("smith normal form of a non-square matrix")
-    n = m.rows
-    a = m.to_rows()
+    n = len(a)
+    mod = modulus
     sign = 1
     factors: list[int] = []
     mult = 1
     for k in range(n):
-        # factor out the gcd of the active submatrix
-        g = 0
+        # factor out the gcd of the active submatrix and the modulus
+        g = mod
         for i in range(k, n):
             for v in a[i][k:]:
                 if v:
@@ -235,14 +249,16 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                         break
             if g == 1:
                 break
-        if g == 0:
-            factors.extend([0] * (n - k))
+        if g == mod:
+            # every active entry is 0 mod the modulus (0 over Z)
+            factors.extend([mult * mod] * (n - k))
             break
         if g > 1:
             for i in range(k, n):
                 row = a[i]
                 for j in range(k, n):
                     row[j] //= g
+            mod //= g
         mult *= g
         while True:
             # smallest nonzero entry becomes the pivot
@@ -257,7 +273,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 a[k], a[pi] = a[pi], a[k]
                 sign = -sign
             if pj != k:
-                for row in a:
+                for i in range(k, n):
+                    row = a[i]
                     row[k], row[pj] = row[pj], row[k]
                 sign = -sign
             if a[k][k] < 0:
@@ -265,24 +282,35 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 sign = -sign
             d = a[k][k]
             dirty = False
+            row_k = a[k]
             for i in range(k + 1, n):
-                v = a[i][k]
+                row_i = a[i]
+                v = row_i[k]
                 if v:
                     q = v // d
                     if q:
-                        row_i, row_k = a[i], a[k]
-                        for j in range(k, n):
-                            row_i[j] -= q * row_k[j]
-                    if a[i][k]:
+                        if mod:
+                            for j in range(k, n):
+                                row_i[j] = (row_i[j] - q * row_k[j]) % mod
+                        else:
+                            for j in range(k, n):
+                                row_i[j] -= q * row_k[j]
+                    if row_i[k]:
                         dirty = True
             for j in range(k + 1, n):
-                v = a[k][j]
+                v = row_k[j]
                 if v:
                     q = v // d
                     if q:
-                        for row in a:
-                            row[j] -= q * row[k]
-                    if a[k][j]:
+                        if mod:
+                            for i in range(k, n):
+                                row = a[i]
+                                row[j] = (row[j] - q * row[k]) % mod
+                        else:
+                            for i in range(k, n):
+                                row = a[i]
+                                row[j] -= q * row[k]
+                    if row_k[j]:
                         dirty = True
             if dirty:
                 continue
@@ -295,11 +323,41 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                     break
             if offender < 0:
                 break
-            row_k, row_o = a[k], a[offender]
+            row_o = a[offender]
             for j in range(k, n):
                 row_k[j] += row_o[j]
-        factors.append(a[k][k] * mult)
-    return SnfResult(tuple(factors), sign)
+        # the active gcd was divided out, so the pivot is a unit: 1 over Z
+        factors.append(mult * gcd(a[k][k], mod))
+    return tuple(factors), sign
+
+
+def smith_normal_form(m: IntMatrix) -> SnfResult:
+    """Invariant factors of an integer matrix under unimodular row/column ops.
+
+    A nonsingular matrix of order n >= 2 takes one pass from its Bareiss
+    determinant (Saunders-Wan's small-modulus idea): the trailing block of
+    the elimination holds (n-1)-minors, so M = gcd(|det|, those minors) is
+    a multiple of r = d_1 ... d_(n-1), usually a small one.  Elimination
+    over Z/M then yields d_1 ... d_(n-1) exactly, d_n = |det| / r, and the
+    determinant gives the sign.  Entries stay below M throughout.  Singular
+    matrices and n < 2 run the same elimination over Z, where entry growth
+    on adversarial inputs is the known hazard; at the dimensions used here
+    (n <= 64) it is acceptable.
+    """
+    if not m.is_square():
+        raise ValueError("smith normal form of a non-square matrix")
+    n = m.rows
+    if n >= 2:
+        det, minors = _bareiss(m.to_rows())
+        if det:
+            modulus = gcd(det, *minors)
+            head = _eliminate([[v % modulus for v in row] for row in m.to_rows()], modulus)[0]
+            dn, rem = divmod(abs(det), prod(head[:-1]))
+            if rem or head[-1] != gcd(dn, modulus) or dn % head[-2]:
+                raise InvariantViolation("modular invariant factors disagree with the Bareiss determinant")
+            return SnfResult(head[:-1] + (dn,), 1 if det > 0 else -1)
+    factors, sign = _eliminate(m.to_rows())
+    return SnfResult(factors, sign)
 
 
 def rational_solve(m: IntMatrix, b: IntMatrix) -> list[list[Fraction]]:
@@ -559,9 +617,3 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
                 stack.append(c // found)
     status = "complete" if cofactor == 1 else "partial"
     return FactorizationResult(tuple(sorted(powers.items())), cofactor, status)
-
-
-def verify_product_of_factors(snf: SnfResult, det: int) -> None:
-    """Check prod(d_i) == |det|; a mismatch means broken elimination."""
-    if snf.abs_det() != abs(det):
-        raise InvariantViolation("invariant factor product does not match the determinant")

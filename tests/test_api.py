@@ -1,9 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import dgscert
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in dgscert.__all__ if not hasattr(dgscert, name)]
     assert not missing
+
+
+def test_exported_names_are_unique():
+    assert len(dgscert.__all__) == len(set(dgscert.__all__))
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the n <= 7 enumeration oracle and loads on first use
+    code = "import sys, dgscert; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(dgscert.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_spec_surface_present():

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from dgscert import cospec, fixtures
+from dgscert import cli, cospec, fixtures
 from dgscert.certify import validate_verdict_dict
-from dgscert.cli import ExperimentRow, main, run_conjecture_scan, run_experiment
+from dgscert.cli import EXIT_INVARIANT, ExperimentRow, main, run_conjecture_scan, run_experiment
 from dgscert.errors import InvariantViolation
 from dgscert.graphcore import emit_adjacency, emit_graph6
 
@@ -88,6 +88,23 @@ class TestSnfCommand:
         main(["snf", str(fixture_files / "mate9.adj"), "--json"])
         data = json.loads(capsys.readouterr().out)
         assert data["snf"][-1] == "30" and data["n"] == 9
+
+
+class TestInvariantViolationExit:
+    @staticmethod
+    def _broken(*args, **kwargs):
+        raise InvariantViolation("divisibility chain broke")
+
+    @pytest.mark.parametrize("command,target", [("certify", "certify_dgs"), ("snf", "smith_normal_form")])
+    def test_own_exit_code_and_one_line_naming_the_graph(self, fixture_files, capsys, monkeypatch, command, target):
+        monkeypatch.setattr(cli, target, self._broken)
+        code = main([command, str(fixture_files / "dgs16.g6")])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVARIANT == 3
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "invariant violated: divisibility chain broke" in line
+        assert emit_graph6(fixtures.dgs16_graph()) in line
 
 
 class TestInvariantsCommand:

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 import sympy
 
+from dgscert.errors import InvariantViolation
 from dgscert.fixtures import dgs16_graph, mate9_graph
-from dgscert.graphcore import Xorshift64Star, derive_seed
+from dgscert.graphcore import Xorshift64Star, derive_seed, random_graph
 from dgscert.zlinalg import (
     IntMatrix,
+    _bareiss,
+    _eliminate,
     char_poly_int,
     determinant,
     factor_integer,
@@ -156,6 +160,106 @@ class TestSmithNormalForm:
             det = determinant(m)
             if det:
                 assert snf.det_sign * snf.abs_det() == det
+
+
+class TestSmithNormalFormDifferential:
+    """The one-pass (modular) path against sympy and against the same
+    elimination run over Z, which is what singular inputs still use."""
+
+    @staticmethod
+    def _over_z(m: IntMatrix) -> tuple[tuple[int, ...], int]:
+        return _eliminate(m.to_rows())
+
+    @staticmethod
+    def _modulus_and_r(m: IntMatrix) -> tuple[int, int]:
+        det, minors = _bareiss(m.to_rows())
+        return gcd(det, *minors), prod(_eliminate(m.to_rows())[0][:-1])
+
+    def test_sympy_oracle_singular_and_tiny_orders(self):
+        from sympy.matrices.normalforms import invariant_factors
+
+        cases = [
+            [],
+            [[0]],
+            [[-3]],
+            [[7]],
+            [[0, 0], [0, 0]],
+            [[2, 4], [1, 2]],
+            [[0, 1], [1, 0]],
+            [[4, 6], [6, 4]],
+            [[2, 0, 0], [0, 0, 0], [0, 0, 4]],
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        ]
+        for i in range(20):
+            m = _random_int_matrix(2, derive_seed(79, i), -6, 6)
+            cases.append(m.to_rows())
+        for rows in cases:
+            m = IntMatrix.from_rows(rows)
+            expected = tuple(int(d) for d in invariant_factors(sympy.Matrix(rows)))
+            snf = smith_normal_form(m)
+            assert snf.factors == expected, rows
+            if determinant(m):
+                assert snf.det_sign * snf.abs_det() == determinant(m), rows
+
+    def test_walk_matrices_match_over_z(self):
+        for n in range(4, 41):
+            w = walk_matrix(random_graph(n, derive_seed(83, n)))
+            snf = smith_normal_form(w)
+            assert (snf.factors, snf.det_sign) == self._over_z(w), n
+            assert snf.det_sign * snf.abs_det() == determinant(w)
+
+    def test_modulus_above_r(self):
+        # the trailing minors share the factor 3 with det, d_1 d_2 does not
+        m = IntMatrix.from_rows([[-3, 1, 4], [-3, -3, 1], [-3, -2, -2]])
+        assert self._modulus_and_r(m) == (3, 1)
+        snf = smith_normal_form(m)
+        assert snf.factors == (1, 1, 45) and snf.det_sign * snf.abs_det() == determinant(m)
+
+    def test_random_matrices_with_modulus_above_r(self):
+        from sympy.matrices.normalforms import invariant_factors
+
+        above = 0
+        for i in range(40):
+            m = _random_int_matrix(3 + i % 4, derive_seed(73, i), -4, 4)
+            det = determinant(m)
+            if det == 0:
+                continue
+            modulus, r = self._modulus_and_r(m)
+            above += modulus > r
+            snf = smith_normal_form(m)
+            assert (snf.factors, snf.det_sign) == self._over_z(m)
+            assert snf.factors == tuple(int(d) for d in invariant_factors(sympy.Matrix(m.to_rows())))
+            assert snf.det_sign * snf.abs_det() == det
+        assert above >= 10
+
+    def test_modular_elimination_yields_gcd_with_modulus(self):
+        m = IntMatrix.from_rows([[2, 0, 0], [0, 6, 0], [0, 0, 36]])
+        for modulus in (1, 2, 4, 9, 12, 72):
+            rows = [[v % modulus for v in row] for row in m.to_rows()]
+            factors, _ = _eliminate(rows, modulus)
+            assert factors == tuple(gcd(d, modulus) for d in (2, 6, 36)), modulus
+
+    def test_determinant_disagreeing_with_the_factors_is_caught(self, monkeypatch):
+        import dgscert.zlinalg as mod
+
+        bareiss = mod._bareiss
+
+        def doubled(rows):
+            det, minors = bareiss(rows)
+            return 2 * det, minors
+
+        monkeypatch.setattr(mod, "_bareiss", doubled)
+        with pytest.raises(InvariantViolation):
+            smith_normal_form(walk_matrix(mate9_graph()))
+
+    def test_bareiss_trailing_minors(self):
+        m = IntMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+        det, minors = _bareiss(m.to_rows())
+        # minors on rows {0, i} and columns {0, j}, i, j in {1, 2}
+        assert det == 18 and minors == (5, 2, 2, 8)
+        assert _bareiss([[3, 4], [5, 6]]) == (-2, (3, 4, 5, 6))
+        assert _bareiss([[7]]) == (7, ())
+        assert _bareiss([]) == (1, ())
 
 
 class TestWalkMatrixTheorems:
