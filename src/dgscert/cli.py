@@ -299,7 +299,8 @@ def _cmd_snf(args) -> int:
 
 def _cmd_invariants(args) -> int:
     for g in read_graphs(args.input, args.format):
-        rep = specinv.phi_report(g, args.prime)
+        with _on_graph(g):
+            rep = specinv.phi_report(g, args.prime)
         if args.json:
             print(json.dumps({"n": g.n, **rep.to_json_dict()}))
         else:

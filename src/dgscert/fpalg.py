@@ -356,28 +356,6 @@ def nullspace_basis_p(m: IntMatrix, p: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def solve_mod_p(a_rows: list[list[int]], b_cols: list[list[int]], p: int) -> list[list[int]] | None:
-    """Solve A X = B over F_p; returns X columns, or None if inconsistent.
-
-    Under-determined systems return one particular solution (free variables
-    set to zero).
-    """
-    n = len(a_rows)
-    w = len(b_cols)
-    ncols = len(a_rows[0])
-    aug = [[a_rows[i][j] % p for j in range(ncols)] + [b_cols[k][i] % p for k in range(w)] for i in range(n)]
-    rows, pivots = _rref(aug, p)
-    if any(c >= ncols for c in pivots):
-        return None
-    x_cols = []
-    for k in range(w):
-        vec = [0] * ncols
-        for r, c in enumerate(pivots):
-            vec[c] = rows[r][ncols + k]
-        x_cols.append(vec)
-    return x_cols
-
-
 def char_poly_mod_p(m: IntMatrix, p: int) -> ModPoly:
     """Characteristic polynomial over F_p, by the same division-free scheme
     used for the integer characteristic polynomial."""

@@ -2,6 +2,11 @@
 the minimal annihilator of the all-ones vector, the characteristic polynomial
 of A restricted to the nullspace of W^T, and the reduced walk matrix.
 
+A (graph, prime) pair costs one walk e, Ae, ..., A^n e reduced mod p and two
+eliminations over F_p: the reduced echelon form of [W | A^n e] gives the rank
+of W and the minimal annihilator, a nullspace basis of W^T the restricted
+characteristic polynomial.  A + J is never formed (see ``phi_p``).
+
 The relationships between these quantities (degree bounds, divisibility
 chains, factorization identities) are proven facts, so ``phi_report`` checks
 them eagerly and raises :class:`InvariantViolation` when one fails: the
@@ -16,24 +21,67 @@ from . import fpalg
 from .errors import InvariantViolation
 from .fpalg import ModPoly, char_poly_mod_p, format_poly, poly_gcd, sfp, sqrt_poly
 from .graphcore import Graph
-from .zlinalg import IntMatrix, walk_matrix
+from .zlinalg import IntMatrix, _adj_apply, walk_matrix
 
 
-def _adjacency_matrix(g: Graph) -> IntMatrix:
-    return IntMatrix.from_rows(g.adjacency())
+def _walk_mod_p(adj: list[list[int]], p: int) -> list[list[int]]:
+    """e, Ae, ..., A^n e reduced mod p: the n columns of W, then A^n e."""
+    walk = [[1] * len(adj)]
+    for _ in range(len(adj)):
+        walk.append(_adj_apply(adj, walk[-1], p))
+    return walk
 
 
-def _adjacency_plus_ones(g: Graph) -> IntMatrix:
-    return IntMatrix.from_rows([[v + 1 for v in row] for row in g.adjacency()])
+def _rank_and_main(walk: list[list[int]], p: int) -> tuple[int, ModPoly]:
+    """Rank r of W mod p and the minimal annihilator of e from the reduced
+    echelon form of [W | A^n e]: once a walk vector depends on the earlier
+    ones every later one does, so the pivots are exactly columns 0..r-1 and
+    column r holds the coordinates of A^r e in e, ..., A^(r-1) e."""
+    rows, pivots = fpalg._rref([list(row) for row in zip(*walk)], p)
+    r = len(pivots)
+    if pivots != list(range(r)):
+        raise InvariantViolation(f"walk-matrix pivots are not the leading {r} columns at p={p}")
+    return r, ModPoly.make(p, [-rows[i][r] for i in range(r)] + [1])
+
+
+def _phi(chi: ModPoly, walk: list[list[int]], p: int) -> ModPoly:
+    """gcd(chi_A, q) with q = chi_A - chi_{A+J} as in ``phi_p``."""
+    n = len(walk) - 1
+    c = chi.coeffs
+    sums = [sum(v) for v in walk[:n]]
+    q = [sum(c[m + k + 1] * sums[k] for k in range(n - m)) for m in range(n)]
+    return poly_gcd(chi, ModPoly.make(p, q))
+
+
+def _restricted_char_poly(adj: list[list[int]], walk: list[list[int]], p: int) -> ModPoly:
+    n = len(adj)
+    basis = fpalg.nullspace_basis_p(IntMatrix.from_rows(walk[:n]), p)
+    if not basis:
+        return ModPoly.one(p)
+    ab_cols = [_adj_apply(adj, vec, p) for vec in basis]
+    # each basis vector is 1 at its own free column (its last nonzero entry)
+    # and 0 at the others, so X holds the entries of A B at the free columns
+    free = [max(i for i, x in enumerate(vec) if x) for vec in basis]
+    x_cols = [[col[f] for f in free] for col in ab_cols]
+    for x_col, ab_col in zip(x_cols, ab_cols):
+        for i in range(n):
+            if sum(b[i] * x for b, x in zip(basis, x_col)) % p != ab_col[i]:
+                raise InvariantViolation("nullspace of W^T is not A-invariant over F_p: B X != A B")
+    return char_poly_mod_p(IntMatrix.from_rows(x_cols).transpose(), p)
 
 
 def phi_p(g: Graph, p: int) -> ModPoly:
     """Monic gcd over F_p of the characteristic polynomials of A and A + J.
 
     Invariant under generalized cospectrality, which is what makes it usable
-    as certification evidence.
+    as certification evidence.  A + J is never formed: by the matrix
+    determinant lemma chi_{A+J} = chi_A - e^T adj(xI - A) e = chi_A - q with
+    q_m = sum_k c_{m+k+1} N_k, where chi_A = sum_j c_j x^j and N_k = e^T A^k e
+    is the k-th column sum of W.  So phi = gcd(chi_A, q).
     """
-    return poly_gcd(char_poly_mod_p(_adjacency_matrix(g), p), char_poly_mod_p(_adjacency_plus_ones(g), p))
+    fpalg._check_modulus(p)
+    adj = g.adjacency()
+    return _phi(char_poly_mod_p(IntMatrix.from_rows(adj), p), _walk_mod_p(adj, p), p)
 
 
 def p_main_poly(g: Graph, p: int) -> ModPoly:
@@ -41,56 +89,26 @@ def p_main_poly(g: Graph, p: int) -> ModPoly:
     the smallest monic f over F_p with f(A) e = 0.
 
     Its degree equals rank_p of the walk matrix, and the first rank-many
-    walk-matrix columns span the column space, so one linear solve on those
-    columns determines the coefficients.
+    walk-matrix columns span the column space, so the reduced echelon form
+    of [W | A^n e] mod p determines the coefficients.
     """
     fpalg._check_modulus(p)
-    n = g.n
-    adj = g.adjacency()
-    w_cols = []
-    v = [1] * n
-    for _ in range(n):
-        w_cols.append([x % p for x in v])
-        v = [sum(adj[i][j] * v[j] for j in range(n) if adj[i][j]) % p for i in range(n)]
-    rank = len(fpalg._rref([list(col) for col in zip(*w_cols)], p)[1])
-    lead = w_cols[rank - 1] if rank else [1] * n
-    target = [sum(adj[i][j] * lead[j] for j in range(n) if adj[i][j]) % p for i in range(n)]
-    a_rows = [[w_cols[k][i] for k in range(rank)] for i in range(n)]
-    sol = fpalg.solve_mod_p(a_rows, [target], p)
-    if sol is None:
-        raise InvariantViolation("leading walk-matrix columns failed to span the next power")
-    coeffs = [(-c) % p for c in sol[0]] + [1]
-    return ModPoly.make(p, coeffs)
+    return _rank_and_main(_walk_mod_p(g.adjacency(), p), p)[1]
 
 
 def restricted_char_poly(g: Graph, p: int) -> ModPoly:
     """Characteristic polynomial of A acting on the F_p nullspace of W^T.
 
-    The nullspace is A-invariant, so with B a basis matrix the system
-    B X = A B is exactly solvable; the result is the characteristic
-    polynomial of the small matrix X.  Inconsistency of the system is
-    mathematically impossible and treated as an internal error.
+    The nullspace is A-invariant, so with B the basis matrix from
+    ``nullspace_basis_p`` (of W^T built from the walk mod p) X in B X = A B
+    is read off A B at the basis's free columns; the result is the
+    characteristic polynomial of the small matrix X.  B X = A B is then
+    checked in full: a mismatch is mathematically impossible and an
+    internal error.
     """
     fpalg._check_modulus(p)
-    w_t = walk_matrix(g).transpose()
-    basis = fpalg.nullspace_basis_p(w_t, p)
-    k = len(basis)
-    if k == 0:
-        return ModPoly.one(p)
-    n = g.n
     adj = g.adjacency()
-    b_rows = [[basis[c][i] for c in range(k)] for i in range(n)]
-    ab_cols = [[sum(adj[i][j] * vec[j] for j in range(n) if adj[i][j]) % p for i in range(n)] for vec in basis]
-    x_cols = fpalg.solve_mod_p(b_rows, ab_cols, p)
-    if x_cols is None:
-        raise InvariantViolation("nullspace of W^T is not A-invariant over F_p")
-    for c, vec in enumerate(basis):
-        for i in range(n):
-            lhs = sum(b_rows[i][j] * x_cols[c][j] for j in range(k)) % p
-            if lhs != ab_cols[c][i]:
-                raise InvariantViolation("solution of B X = A B failed verification")
-    x_mat = IntMatrix.from_rows([[x_cols[c][r] for c in range(k)] for r in range(k)])
-    return char_poly_mod_p(x_mat, p)
+    return _restricted_char_poly(adj, _walk_mod_p(adj, p), p)
 
 
 def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
@@ -106,25 +124,18 @@ def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
     fpalg._check_modulus(p)
     n = g.n
     adj = g.adjacency()
-    w = walk_matrix(g)
-    k = fpalg.nullity_p(w, p)
-    if k == 0:
+    rank, f = _rank_and_main(_walk_mod_p(adj, p), p)
+    if rank == n:
         raise ValueError(f"prime {p} does not divide det W, nothing to reduce")
-    f = p_main_poly(g, p)
-    powers = []
-    v = [1] * n
-    for _ in range(n + 1):
-        powers.append(v)
-        v = [sum(adj[i][j] * v[j] for j in range(n) if adj[i][j]) for i in range(n)]
-    fe = [sum(c * powers[d][i] for d, c in enumerate(f.coeffs)) for i in range(n)]
+    cols = walk_matrix(g).transpose().to_rows()
+    fe = [sum(c * cols[d][i] for d, c in enumerate(f.coeffs)) for i in range(n)]
     if any(x % p for x in fe):
         raise InvariantViolation("minimal annihilator lift does not vanish mod p")
-    cols = [powers[j] for j in range(n - k)]
     tail = [x // p for x in fe]
-    for _ in range(k):
-        cols.append(tail)
-        tail = [sum(adj[i][j] * tail[j] for j in range(n) if adj[i][j]) for i in range(n)]
-    return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+    for j in range(rank, n):
+        cols[j] = tail
+        tail = _adj_apply(adj, tail)
+    return IntMatrix.from_rows(cols).transpose()
 
 
 @dataclass(frozen=True)
@@ -168,16 +179,17 @@ def phi_report(g: Graph, p: int) -> PhiReport:
     """
     fpalg._check_modulus(p)
     n = g.n
-    w = walk_matrix(g)
-    nullity = fpalg.nullity_p(w, p)
-    chi = char_poly_mod_p(_adjacency_matrix(g), p)
-    phi = poly_gcd(chi, char_poly_mod_p(_adjacency_plus_ones(g), p))
+    adj = g.adjacency()
+    walk = _walk_mod_p(adj, p)
+    rank, main = _rank_and_main(walk, p)
+    nullity = n - rank
+    chi = char_poly_mod_p(IntMatrix.from_rows(adj), p)
+    phi = _phi(chi, walk, p)
     if phi.is_zero():
         raise InvariantViolation("phi must be nonzero for a nonzero characteristic polynomial")
     sfp_phi = sfp(phi)
     sqrt_phi = sqrt_poly(phi)
-    restricted = restricted_char_poly(g, p)
-    main = p_main_poly(g, p)
+    restricted = _restricted_char_poly(adj, walk, p)
 
     if not (sfp_phi.degree <= nullity <= max(phi.degree, 0)):
         raise InvariantViolation(f"degree bound broken at p={p}: deg sfp={sfp_phi.degree}, nullity={nullity}, deg phi={phi.degree}")

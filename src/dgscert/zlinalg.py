@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import InvariantViolation
@@ -113,6 +114,12 @@ class FactorizationResult:
         return True if self.is_complete else None
 
 
+def _adj_apply(adj: list[list[int]], v: list[int], modulus: int = 0) -> list[int]:
+    """A v for a dense 0/1 adjacency matrix, reduced mod ``modulus`` unless it is 0."""
+    out = [sum(compress(v, row)) for row in adj]
+    return [x % modulus for x in out] if modulus else out
+
+
 def walk_matrix(g: Graph) -> IntMatrix:
     """The n x n matrix whose k-th column is A^k applied to the all-ones vector."""
     n = g.n
@@ -121,7 +128,7 @@ def walk_matrix(g: Graph) -> IntMatrix:
     v = [1] * n
     for _ in range(n):
         cols.append(v)
-        v = [sum(adj[i][j] * v[j] for j in range(n) if adj[i][j]) for i in range(n)]
+        v = _adj_apply(adj, v)
     return IntMatrix.from_rows([[cols[k][i] for k in range(n)] for i in range(n)])
 
 

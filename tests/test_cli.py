@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dgscert import cli, cospec, fixtures
+from dgscert import cli, cospec, fixtures, specinv
 from dgscert.certify import validate_verdict_dict
 from dgscert.cli import EXIT_INVARIANT, ExperimentRow, main, run_conjecture_scan, run_experiment
 from dgscert.errors import InvariantViolation
@@ -95,16 +95,25 @@ class TestInvariantViolationExit:
     def _broken(*args, **kwargs):
         raise InvariantViolation("divisibility chain broke")
 
-    @pytest.mark.parametrize("command,target", [("certify", "certify_dgs"), ("snf", "smith_normal_form")])
-    def test_own_exit_code_and_one_line_naming_the_graph(self, fixture_files, capsys, monkeypatch, command, target):
-        monkeypatch.setattr(cli, target, self._broken)
-        code = main([command, str(fixture_files / "dgs16.g6")])
+    @staticmethod
+    def _assert_one_line_naming_dgs16(code, capsys):
         captured = capsys.readouterr()
         assert code == EXIT_INVARIANT == 3
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert "invariant violated: divisibility chain broke" in line
         assert emit_graph6(fixtures.dgs16_graph()) in line
+
+    @pytest.mark.parametrize("command,target", [("certify", "certify_dgs"), ("snf", "smith_normal_form")])
+    def test_own_exit_code_and_one_line_naming_the_graph(self, fixture_files, capsys, monkeypatch, command, target):
+        monkeypatch.setattr(cli, target, self._broken)
+        code = main([command, str(fixture_files / "dgs16.g6")])
+        self._assert_one_line_naming_dgs16(code, capsys)
+
+    def test_invariants_names_the_graph(self, fixture_files, capsys, monkeypatch):
+        monkeypatch.setattr(specinv, "phi_report", self._broken)
+        code = main(["invariants", str(fixture_files / "dgs16.g6"), "-p", "3"])
+        self._assert_one_line_naming_dgs16(code, capsys)
 
 
 class TestInvariantsCommand:

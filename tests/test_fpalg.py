@@ -10,7 +10,6 @@ from dgscert.fpalg import (
     poly_gcd,
     rank_p,
     sfp,
-    solve_mod_p,
     sqrt_poly,
     squarefree_decomposition,
 )
@@ -253,11 +252,6 @@ class TestLinearAlgebraModP:
             rank_p(IntMatrix.identity(2), 2)
         with pytest.raises(ValueError):
             rank_p(IntMatrix.identity(2), 15)
-
-    def test_solve_consistent_and_inconsistent(self):
-        a = [[1, 0], [0, 1], [1, 1]]
-        assert solve_mod_p(a, [[1, 2, 3]], 5) == [[1, 2]]
-        assert solve_mod_p(a, [[1, 2, 4]], 5) is None
 
 
 class TestCharPolyModP:

@@ -35,6 +35,8 @@ def _corpus():
 
 
 def _odd_primes_below(limit: int) -> list[int]:
+    # own sieve, so the case list does not move with the factoring ladder's
+    # trial-division bound
     sieve = bytearray([1]) * limit
     sieve[:2] = b"\0\0"
     for i in range(2, int(limit**0.5) + 1):

@@ -1,7 +1,10 @@
 import pytest
 
+from dgscert import specinv
+from dgscert.errors import InvariantViolation
 from dgscert.fixtures import dgs16_graph, mate9_graph, mate9_mate_graph
-from dgscert.fpalg import ModPoly, char_poly_mod_p, format_poly, nullspace_basis_p
+from dgscert.fpalg import ModPoly, char_poly_mod_p, format_poly, nullspace_basis_p, poly_gcd, rank_p
+from dgscert.graphcore import Graph, derive_seed, random_graph
 from dgscert.specinv import (
     p_main_poly,
     phi_p,
@@ -11,6 +14,10 @@ from dgscert.specinv import (
 )
 from dgscert.zlinalg import IntMatrix, determinant, walk_matrix
 from conftest import seeded_corpus
+
+# inputs for the checks against the routes phi_p and p_main_poly replaced
+DIFF_GRAPHS = [Graph(1, (0,))] + [random_graph(n, derive_seed(0xD1FF, n)) for n in (*range(2, 31), 48)]
+DIFF_PRIMES = (3, 5, 10**6 + 3, 2**61 - 1)
 
 
 def P(p, *ascending):
@@ -41,6 +48,15 @@ class TestPhiP:
         with pytest.raises(ValueError):
             phi_p(k1, 2)
 
+    @pytest.mark.parametrize("p", DIFF_PRIMES)
+    def test_matches_gcd_of_the_two_charpolys(self, p):
+        # oracle: the route the determinant-lemma form replaced
+        for g in DIFF_GRAPHS:
+            adj = g.adjacency()
+            chi_a = char_poly_mod_p(IntMatrix.from_rows(adj), p)
+            chi_aj = char_poly_mod_p(IntMatrix.from_rows([[v + 1 for v in row] for row in adj]), p)
+            assert phi_p(g, p) == poly_gcd(chi_a, chi_aj), (g.n, p)
+
 
 class TestPMainPoly:
     def test_single_vertex(self, k1):
@@ -52,10 +68,10 @@ class TestPMainPoly:
         assert format_poly(p_main_poly(mate9_mate_graph(), 3)) == "x^8+x^7+2x^5+x^4+2x^2+2x"
 
     def test_annihilates_all_ones_vector(self, small_corpus):
-        for g in small_corpus[:12]:
+        for g in small_corpus[:12] + DIFF_GRAPHS:
             adj = g.adjacency()
             n = g.n
-            for p in (3, 5):
+            for p in DIFF_PRIMES:
                 f = p_main_poly(g, p)
                 v = [0] * n
                 power = [1] * n
@@ -67,11 +83,16 @@ class TestPMainPoly:
     def test_minimality(self, p3):
         # degree equals rank of W mod p; no monic polynomial of lower degree
         # can annihilate e because the first rank columns are independent
-        from dgscert.fpalg import rank_p
+        for g in [p3] + DIFF_GRAPHS:
+            for p in DIFF_PRIMES:
+                f = p_main_poly(g, p)
+                assert f.degree == rank_p(walk_matrix(g), p), (g.n, p)
 
-        for p in (3, 5):
-            f = p_main_poly(p3, p)
-            assert f.degree == rank_p(walk_matrix(p3), p)
+    def test_non_leading_pivots_are_an_invariant_breach(self):
+        # columns e, Ae, A^2 e of a walk whose first vector is zero: the
+        # pivots are columns 1 and 2, impossible for a real Krylov sequence
+        with pytest.raises(InvariantViolation, match="pivots"):
+            specinv._rank_and_main([[0, 0], [1, 0], [0, 1]], 3)
 
 
 class TestRestrictedCharPoly:
@@ -81,6 +102,14 @@ class TestRestrictedCharPoly:
     def test_dgs16_value(self):
         # degree 2 and divisible by sfp(phi) = x^2+x+2, hence equal to it
         assert restricted_char_poly(dgs16_graph(), 3) == P(3, 2, 1, 1)
+
+    def test_non_invariant_nullspace_is_an_invariant_breach(self):
+        # W^T of dgs16 with the adjacency of another graph: the nullspace is
+        # not invariant under that matrix, and B X = A B must catch it
+        g, other = dgs16_graph(), random_graph(16, derive_seed(0xD1FF, 16))
+        walk = specinv._walk_mod_p(g.adjacency(), 3)
+        with pytest.raises(InvariantViolation, match="A-invariant"):
+            specinv._restricted_char_poly(other.adjacency(), walk, 3)
 
     def test_mate9_divisibility_chain(self):
         from dgscert.fpalg import sfp
