@@ -23,7 +23,13 @@ import time
 from dataclasses import dataclass
 
 from . import cospec, specinv
-from .certify import STATUS_DGS_BY_MAIN, SQF_PASS, certify_dgs
+from .certify import (
+    SQF_PASS,
+    STATUS_DGS_BY_MAIN,
+    STATUS_FACTORIZATION_INCOMPLETE,
+    STATUS_NOT_CONTROLLABLE,
+    certify_dgs,
+)
 from .errors import InvariantViolation
 from .fpalg import MODULUS_CAP
 from .graphcore import Graph, Graph6Error, derive_seed, emit_graph6, parse_adjacency, parse_graph6, random_graph
@@ -74,7 +80,13 @@ def read_graphs(path: str, fmt: str = "auto") -> list[Graph]:
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """Per-order tallies of the random-graph certification experiment."""
+    """Per-order tallies of the random-graph certification experiment.
+
+    ``n_incomplete`` counts FACTORIZATION_INCOMPLETE verdicts and
+    ``n_not_controllable`` singular walk matrices; a graph whose d_n could
+    not be decided is in neither the square-free nor the not-square-free
+    share, and these columns say how many there were.
+    """
 
     n: int
     samples: int
@@ -83,11 +95,15 @@ class ExperimentRow:
     n_dgs_thm_main: int
     n_unknown: int
     seed: int
+    n_incomplete: int
+    n_not_controllable: int
 
     def __post_init__(self):
         ok = (
             self.n_dgs_thm_sqf <= self.n_dgs_thm_main <= self.n_squarefree_dn
             and self.n_unknown == self.n_squarefree_dn - self.n_dgs_thm_main
+            and self.n_squarefree_dn + self.n_not_controllable <= self.samples
+            and self.n_incomplete + self.n_not_controllable <= self.samples
         )
         if not ok:
             raise InvariantViolation(f"inconsistent experiment tallies for n={self.n}")
@@ -101,17 +117,28 @@ class ExperimentRow:
             "dgs_by_main_rule": self.n_dgs_thm_main,
             "unknown": self.n_unknown,
             "seed": self.seed,
+            "incomplete": self.n_incomplete,
+            "not_controllable": self.n_not_controllable,
         }
 
 
-CSV_COLUMNS = ["n", "samples", "dn_squarefree", "dgs_by_sqf_rule", "dgs_by_main_rule", "unknown", "seed"]
+CSV_COLUMNS = [
+    "n",
+    "samples",
+    "dn_squarefree",
+    "dgs_by_sqf_rule",
+    "dgs_by_main_rule",
+    "unknown",
+    "seed",
+    "incomplete",
+    "not_controllable",
+]
 
 
-def _certify_sample(args: tuple[int, int, str]) -> tuple[bool, bool, bool]:
+def _certify_sample(args: tuple[int, int, str]) -> tuple[bool, bool, str]:
     n, seed, effort = args
     verdict = certify_dgs(random_graph(n, seed), effort)
-    squarefree = bool(verdict.dn_squarefree())
-    return squarefree, verdict.sqf_check == SQF_PASS, verdict.status == STATUS_DGS_BY_MAIN
+    return bool(verdict.dn_squarefree()), verdict.sqf_check == SQF_PASS, verdict.status
 
 
 def _pooled_map(fn, items, jobs: int):
@@ -140,8 +167,11 @@ def run_experiment(
         outcomes = _pooled_map(_certify_sample, items, jobs)
         sq = sum(1 for s, _, _ in outcomes if s)
         sqf = sum(1 for _, f, _ in outcomes if f)
-        main = sum(1 for _, _, m in outcomes if m)
-        rows.append(ExperimentRow(n, samples, sq, sqf, main, sq - main, seed))
+        statuses = [status for _, _, status in outcomes]
+        main = statuses.count(STATUS_DGS_BY_MAIN)
+        incomplete = statuses.count(STATUS_FACTORIZATION_INCOMPLETE)
+        singular = statuses.count(STATUS_NOT_CONTROLLABLE)
+        rows.append(ExperimentRow(n, samples, sq, sqf, main, sq - main, seed, incomplete, singular))
     return rows, truncated
 
 

@@ -5,7 +5,10 @@ determinants come from fraction-free elimination, characteristic polynomials
 from a division-free recurrence (so the same code runs verbatim over Z and
 over F_p), and the Smith normal form of a nonsingular matrix from one
 elimination modulo a small multiple of d_1 ... d_(n-1) that the determinant's
-elimination supplies (singular matrices are eliminated over Z).
+elimination supplies (singular matrices are eliminated over Z).  Each stage
+of that modular elimination pivots on a unit mod the modulus when the active
+block has one and clears its column in one row pass; a stage without a unit
+falls back to gcd division and smallest-entry Euclid steps.
 Factorization is deterministic for a fixed effort level.
 """
 
@@ -229,16 +232,43 @@ def char_poly_int(m: IntMatrix) -> tuple[int, ...]:
     return tuple(_charpoly_berkowitz(m.to_rows()))
 
 
+def _swap_to_pivot(a: list[list[int]], k: int, i: int, j: int) -> int:
+    """Move entry (i, j) to (k, k) by a row swap and a column swap of the
+    active block (rows k and below); returns the sign change, -1 per swap."""
+    sign = 1
+    if i != k:
+        a[k], a[i] = a[i], a[k]
+        sign = -sign
+    if j != k:
+        for row in a[k:]:
+            row[k], row[j] = row[j], row[k]
+        sign = -sign
+    return sign
+
+
 def _eliminate(a: list[list[int]], modulus: int = 0) -> tuple[tuple[int, ...], int]:
     """Invariant factors of the square matrix ``a`` over Z/modulus, in place.
 
-    ``modulus`` 0 means over Z.  Classical elimination, pivoting on the
-    smallest nonzero entry.  Before each stage the gcd of the active
-    submatrix and the modulus is divided out of both and re-applied as a
-    multiplier to all later factors, which keeps entries near the size of
-    the factors.  With a modulus M the entries must come reduced mod M, stay
-    reduced mod the current modulus, and the factors are gcd(d_i, M).
-    Returns (factors, sign); over Z, sign * prod(factors) = det a.
+    ``modulus`` 0 means over Z.  With a modulus M the entries must come
+    reduced mod M, stay reduced mod the current modulus, and the factors are
+    gcd(d_i, M).  A stage over Z/M first looks for an active entry that is a
+    unit (coprime to the current modulus).  One found proves the active
+    gcd is 1: it is swapped to the pivot, each row below is cleared in one
+    pass with its factor row_i[k] / pivot mod M, and the pivot row's tail
+    is zeroed (column operations, which touch no other row once column k
+    is clear), so the stage factor is the multiplier alone.  A stage with
+    no unit, and every stage over Z, runs classical elimination: the gcd of
+    the active submatrix and the modulus is divided out of both and
+    re-applied as a multiplier to all later factors, which keeps entries
+    near the size of the factors, and the smallest nonzero entry is the
+    pivot until its row and column clear.
+    Non-units can still have gcd 1 with the modulus:
+
+    >>> _eliminate([[2, 3], [3, 4]], 6)[0]
+    (1, 1)
+
+    Returns (factors, sign); over Z, sign * prod(factors) = det a.  The sign
+    tracks every swap and negation but means nothing over Z/M.
     """
     n = len(a)
     mod = modulus
@@ -246,6 +276,23 @@ def _eliminate(a: list[list[int]], modulus: int = 0) -> tuple[tuple[int, ...], i
     factors: list[int] = []
     mult = 1
     for k in range(n):
+        if mod:
+            unit = next(((i, j) for i in range(k, n) for j in range(k, n) if gcd(a[i][j], mod) == 1), None)
+            if unit:
+                sign *= _swap_to_pivot(a, k, *unit)
+                row_k = a[k]
+                inv = pow(row_k[k], -1, mod)
+                tail = row_k[k + 1 :]
+                for i in range(k + 1, n):
+                    row_i = a[i]
+                    v = row_i[k]
+                    if v:
+                        f = v * inv % mod
+                        row_i[k + 1 :] = [(x - f * y) % mod for x, y in zip(row_i[k + 1 :], tail)]
+                        row_i[k] = 0
+                row_k[k + 1 :] = [0] * (n - k - 1)
+                factors.append(mult)
+                continue
         # factor out the gcd of the active submatrix and the modulus
         g = mod
         for i in range(k, n):
@@ -276,14 +323,7 @@ def _eliminate(a: list[list[int]], modulus: int = 0) -> tuple[tuple[int, ...], i
                     v = abs(a[i][j])
                     if v and (best == 0 or v < best):
                         best, pi, pj = v, i, j
-            if pi != k:
-                a[k], a[pi] = a[pi], a[k]
-                sign = -sign
-            if pj != k:
-                for i in range(k, n):
-                    row = a[i]
-                    row[k], row[pj] = row[pj], row[k]
-                sign = -sign
+            sign *= _swap_to_pivot(a, k, pi, pj)
             if a[k][k] < 0:
                 a[k] = [-v for v in a[k]]
                 sign = -sign
@@ -346,7 +386,11 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     the elimination holds (n-1)-minors, so M = gcd(|det|, those minors) is
     a multiple of r = d_1 ... d_(n-1), usually a small one.  Elimination
     over Z/M then yields d_1 ... d_(n-1) exactly, d_n = |det| / r, and the
-    determinant gives the sign.  Entries stay below M throughout.  Singular
+    determinant gives the sign.  Entries stay below M throughout.  While
+    gcd(d_i, M) = 1 the active block almost always holds a unit mod M, so
+    stage i is one pivot inverse and one pass over the rows below; the
+    stages that yield d_i > 1, and the rare ones whose entries are all
+    non-units, run the gcd-division and Euclid fallback.  Singular
     matrices and n < 2 run the same elimination over Z, where entry growth
     on adversarial inputs is the known hazard; at the dimensions used here
     (n <= 64) it is acceptable.

@@ -3,10 +3,15 @@ import json
 import pytest
 
 from dgscert import cli, cospec, fixtures, specinv
-from dgscert.certify import validate_verdict_dict
+from dgscert.certify import (
+    STATUS_FACTORIZATION_INCOMPLETE,
+    STATUS_NOT_CONTROLLABLE,
+    certify_dgs,
+    validate_verdict_dict,
+)
 from dgscert.cli import EXIT_INVARIANT, ExperimentRow, main, run_conjecture_scan, run_experiment
 from dgscert.errors import InvariantViolation
-from dgscert.graphcore import emit_adjacency, emit_graph6
+from dgscert.graphcore import derive_seed, emit_adjacency, emit_graph6, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +181,9 @@ class TestTable1Command:
         second = capsys.readouterr().out
         assert first == second
         header, row = first.strip().splitlines()
-        assert header == "n,samples,dn_squarefree,dgs_by_sqf_rule,dgs_by_main_rule,unknown,seed"
+        assert header == (
+            "n,samples,dn_squarefree,dgs_by_sqf_rule,dgs_by_main_rule,unknown,seed,incomplete,not_controllable"
+        )
         assert row.startswith("8,12,")
 
     def test_json_output(self, capsys):
@@ -213,7 +220,19 @@ class TestHarnessFunctions:
 
     def test_experiment_row_validates_tallies(self):
         with pytest.raises(InvariantViolation):
-            ExperimentRow(8, 10, 5, 6, 4, 1, 0)
+            ExperimentRow(8, 10, 5, 6, 4, 1, 0, 0, 0)
+        with pytest.raises(InvariantViolation):
+            ExperimentRow(8, 10, 5, 4, 4, 1, 0, 0, 6)
+
+    def test_run_experiment_counts_incomplete_and_not_controllable(self):
+        # low effort leaves d_n unfactored on some n = 16 graphs; most n = 8
+        # walk matrices are singular
+        rows, _ = run_experiment([8, 16], samples=10, seed=1, effort="low")
+        for row in rows:
+            statuses = [certify_dgs(random_graph(row.n, derive_seed(1, row.n, k)), "low").status for k in range(10)]
+            assert row.n_incomplete == statuses.count(STATUS_FACTORIZATION_INCOMPLETE)
+            assert row.n_not_controllable == statuses.count(STATUS_NOT_CONTROLLABLE)
+        assert rows[0].n_not_controllable > 0 and rows[1].n_incomplete > 0
 
     def test_scan_counts(self):
         rows = run_conjecture_scan([9], samples=6, seed=4)

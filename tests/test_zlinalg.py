@@ -202,7 +202,8 @@ class TestSmithNormalFormDifferential:
                 assert snf.det_sign * snf.abs_det() == determinant(m), rows
 
     def test_walk_matrices_match_over_z(self):
-        for n in range(4, 41):
+        # n = 48 is the order of the benchmark's snf_large workload
+        for n in [*range(4, 41), 48]:
             w = walk_matrix(random_graph(n, derive_seed(83, n)))
             snf = smith_normal_form(w)
             assert (snf.factors, snf.det_sign) == self._over_z(w), n
@@ -238,6 +239,29 @@ class TestSmithNormalFormDifferential:
             rows = [[v % modulus for v in row] for row in m.to_rows()]
             factors, _ = _eliminate(rows, modulus)
             assert factors == tuple(gcd(d, modulus) for d in (2, 6, 36)), modulus
+
+    def test_modular_elimination_unit_and_fallback_stages(self):
+        # A stage with a unit mod M (some entry coprime to M) takes the
+        # one-pass unit pivot; a stage without one takes the gcd-division and
+        # Euclid fallback.  The first two inputs have no unit at all (one of
+        # them still has gcd 1 with M).  Among the random ones, any factor
+        # above 1 came from a stage whose block held no unit, and any input
+        # with a unit entry opened with a unit stage; both must occur.
+        from sympy.matrices.normalforms import invariant_factors
+
+        cases = [([[2, 3], [3, 4]], 6), ([[2, 3, 0], [3, 4, 6], [0, 6, 8]], 12)]
+        for i in range(30):
+            m = _random_int_matrix(4 + i % 3, derive_seed(89, i))
+            cases.append((m.to_rows(), (6, 12, 30, 36, 60, 210)[i % 6]))
+        unit_stages = fallback_stages = 0
+        for rows, modulus in cases:
+            reduced = [[v % modulus for v in row] for row in rows]
+            factors, _ = _eliminate([row[:] for row in reduced], modulus)
+            expected = tuple(gcd(int(d), modulus) for d in invariant_factors(sympy.Matrix(rows)))
+            assert factors == expected, (rows, modulus)
+            unit_stages += any(gcd(v, modulus) == 1 for row in reduced for v in row)
+            fallback_stages += any(d > 1 for d in factors)
+        assert unit_stages >= 10 and fallback_stages >= 10
 
     def test_determinant_disagreeing_with_the_factors_is_caught(self, monkeypatch):
         import dgscert.zlinalg as mod
@@ -404,4 +428,6 @@ def test_doctests():
 
     import dgscert.zlinalg as mod
 
-    assert doctest.testmod(mod).failed == 0
+    results = doctest.testmod(mod)
+    # char_poly_int and _eliminate each carry an example
+    assert results.failed == 0 and results.attempted >= 2
