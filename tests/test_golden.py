@@ -1,17 +1,24 @@
-"""Golden gate: verdict JSON and per-prime report JSON stay byte-identical.
+"""Golden gate: verdict JSON, per-prime report JSON and the experiment
+commands' output stay byte-identical.
 
-The files under ``tests/data`` hold one ``json.dumps(x.to_json_dict())`` line
-per case, in the order the generators below produce the cases.  Any change to
-a byte of a verdict or of a ``phi_report`` fails here.  Regenerate them only
-for an intended output change, and record that change in CHANGES.md:
+The verdict and phi files under ``tests/data`` hold one
+``json.dumps(x.to_json_dict())`` line per case, in the order the generators
+below produce the cases; the table1 and conjecture-scan files hold the
+stdout of the seeded command lines in ``TABLE1_RUNS`` and ``SCAN_RUNS``.
+Any change to a byte of a verdict, of a ``phi_report`` or of an experiment
+row fails here.  Regenerate them only for an intended output change, and
+record that change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 from dgscert.certify import certify_dgs
+from dgscert.cli import main
 from dgscert.fixtures import dgs16_graph, mate9_graph
 from dgscert.graphcore import derive_seed, random_graph
 from dgscert.specinv import phi_report
@@ -20,11 +27,26 @@ from dgscert.zlinalg import determinant, walk_matrix
 DATA = Path(__file__).parent / "data"
 VERDICTS = DATA / "golden_verdicts.jsonl"
 PHI = DATA / "golden_phi.jsonl"
+TABLE1 = DATA / "golden_table1.txt"
+SCAN = DATA / "golden_scan.txt"
 
 SEED = 20211018
 FIXED_PRIMES = (3, 5, 7, 10**6 + 3, 2**61 - 1)
 LARGE_PRIMES = (3, 10**6 + 3, 2**61 - 1)
 SMALL_PRIME_LIMIT = 10**6
+
+# seeded experiment runs: default effort, then low effort, where some n = 16
+# d_n stay unfactored and most n = 8 walk matrices are singular
+TABLE1_RUNS = (
+    ["table1", "--n-list", "10,12,14", "--samples", "20", "--json"],
+    ["table1", "--n-list", "8,16", "--samples", "10", "--effort", "low", "--json"],
+    ["table1", "--n-list", "8,16", "--samples", "10", "--effort", "low"],
+)
+SCAN_RUNS = (
+    ["conjecture-scan", "--n-list", "10,12", "--samples", "10", "--json"],
+    ["conjecture-scan", "--n-list", "16,20", "--samples", "10", "--effort", "low", "--json"],
+    ["conjecture-scan", "--n-list", "10,12", "--samples", "10"],
+)
 
 
 def _corpus():
@@ -69,6 +91,14 @@ def phi_lines() -> list[str]:
     return [json.dumps(phi_report(g, p).to_json_dict()) for g, p in _phi_cases()]
 
 
+def command_lines(runs) -> list[str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for argv in runs:
+            assert main(argv) == 0, argv
+    return out.getvalue().splitlines()
+
+
 def _assert_same_lines(actual: list[str], path: Path) -> None:
     expected = path.read_text(encoding="utf-8").splitlines()
     assert len(actual) == len(expected), f"{path.name}: {len(actual)} cases, golden file has {len(expected)}"
@@ -84,8 +114,21 @@ def test_phi_reports_byte_identical():
     _assert_same_lines(phi_lines(), PHI)
 
 
+def test_table1_output_byte_identical():
+    _assert_same_lines(command_lines(TABLE1_RUNS), TABLE1)
+
+
+def test_conjecture_scan_output_byte_identical():
+    _assert_same_lines(command_lines(SCAN_RUNS), SCAN)
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    for path, lines in ((VERDICTS, verdict_lines()), (PHI, phi_lines())):
+    for path, lines in (
+        (VERDICTS, verdict_lines()),
+        (PHI, phi_lines()),
+        (TABLE1, command_lines(TABLE1_RUNS)),
+        (SCAN, command_lines(SCAN_RUNS)),
+    ):
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         print(f"wrote {len(lines)} lines to {path}")
