@@ -9,6 +9,7 @@ silently pass as squarefree.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import specinv
@@ -19,6 +20,8 @@ from .specinv import PhiReport
 from .zlinalg import (
     FactorizationResult,
     SnfResult,
+    _odd_part,
+    _two_adic_valuation,
     determinant,
     factor_integer,
     smith_normal_form,
@@ -148,20 +151,6 @@ def validate_verdict_dict(data: dict) -> None:
         fail("notes must be a string")
 
 
-def _two_adic_valuation(x: int) -> int:
-    v = 0
-    while x % 2 == 0:
-        x //= 2
-        v += 1
-    return v
-
-
-def _odd_part(x: int) -> int:
-    while x % 2 == 0:
-        x //= 2
-    return x
-
-
 def _expected_sqf_shape(n: int, odd_det: int) -> tuple[int, ...]:
     if n == 1:
         return (1,)
@@ -169,10 +158,21 @@ def _expected_sqf_shape(n: int, odd_det: int) -> tuple[int, ...]:
     return (1,) * (n - half) + (2,) * (half - 1) + (2 * odd_det,)
 
 
+def _prime_report(g: Graph, snf: SnfResult, p: int) -> PhiReport:
+    """``specinv.phi_report(g, p)``, checked against the invariant factors:
+    the nullity of W mod p is the number of d_i divisible by p."""
+    rep = specinv.phi_report(g, p)
+    nullity_snf = sum(1 for d in snf.factors if d % p == 0)
+    if rep.nullity != nullity_snf:
+        raise InvariantViolation(f"rank-based nullity {rep.nullity} disagrees with the invariant factors at p={p}")
+    return rep
+
+
 def check_sqf_condition(g: Graph, effort: str = "default") -> tuple[str, dict]:
     """The half-determinant rule: PASS iff det W = +-2^floor(n/2) * b with b
     odd, squarefree and fully factored; UNKNOWN when b's factorization stays
-    partial; FAIL otherwise.
+    partial; FAIL otherwise.  b is factored only when the 2-adic valuation
+    of det W and the odd part of d_{n-1} leave the answer open.
 
     On PASS the invariant-factor chain must take the rigid shape
     [1, ..., 1, 2, ..., 2, 2b]; a mismatch is an internal error.
@@ -181,11 +181,11 @@ def check_sqf_condition(g: Graph, effort: str = "default") -> tuple[str, dict]:
     det = snf.det_sign * snf.abs_det()
     if det == 0:
         raise ValueError("the half-determinant rule needs a controllable graph")
-    return _sqf_condition_from_snf(g.n, det, snf, factor_integer(_odd_part(snf.dn), effort))
+    return _sqf_condition_from_snf(g.n, det, snf, lambda: factor_integer(_odd_part(snf.dn), effort))
 
 
 def _sqf_condition_from_snf(
-    n: int, det: int, snf: SnfResult, odd_dn_factorization: FactorizationResult
+    n: int, det: int, snf: SnfResult, odd_dn_factorization: Callable[[], FactorizationResult]
 ) -> tuple[str, dict]:
     v2 = _two_adic_valuation(det)
     evidence: dict = {"v2_det": v2, "v2_required": n // 2}
@@ -199,7 +199,7 @@ def _sqf_condition_from_snf(
     if n >= 2 and _odd_part(snf.factors[-2]) != 1:
         evidence["repeated_odd_prime_before_dn"] = True
         return SQF_FAIL, evidence
-    sf = odd_dn_factorization.squarefree()
+    sf = odd_dn_factorization().squarefree()
     if sf is None:
         return SQF_UNKNOWN, evidence
     if not sf:
@@ -241,21 +241,14 @@ def certify_dgs(g: Graph, effort: str = "default", autopass_report_limit: int | 
     odd_dn = _odd_part(dn)
     if v2_dn >= 2:
         # 4 | d_n settles everything without touching the odd part: d_n is
-        # not squarefree, and the half-determinant rule is unreachable too
-        # (it forces the rigid invariant-factor shape, whose last entry is
-        # twice an odd number).  Skipping the factorization here makes the
-        # large-order experiment runs several times faster.
-        dn_fact = FactorizationResult(
-            ((2, v2_dn),), odd_dn, "complete" if odd_dn == 1 else "partial"
-        )
-        notes.append("d_n is not squarefree: 2^2 divides it (odd part left unfactored)")
-        notes.append(f"half-determinant rule: {SQF_FAIL}")
-        return DgsVerdict(
-            STATUS_CONDITION_FAILS, None, n, det, snf, dn_fact, (), 2, SQF_FAIL, tuple(notes)
-        )
-
-    odd_fact = factor_integer(odd_dn, effort)
-    sqf_status, _ = _sqf_condition_from_snf(n, det, snf, odd_fact)
+        # not squarefree, and the half-determinant rule reads FAIL from
+        # v2(det W) > floor(n/2) before it asks for the factorization.
+        # Skipping the factorization here makes the large-order experiment
+        # runs several times faster.
+        odd_fact = FactorizationResult((), odd_dn, "complete" if odd_dn == 1 else "partial")
+    else:
+        odd_fact = factor_integer(odd_dn, effort)
+    sqf_status, _ = _sqf_condition_from_snf(n, det, snf, lambda: odd_fact)
 
     dn_powers = (((2, v2_dn),) if v2_dn else ()) + odd_fact.prime_powers
     dn_fact = FactorizationResult(tuple(sorted(dn_powers)), odd_fact.cofactor, odd_fact.status)
@@ -266,12 +259,13 @@ def certify_dgs(g: Graph, effort: str = "default", autopass_report_limit: int | 
         notes.append(f"half-determinant rule: {sqf_status}")
         return DgsVerdict(status, rule, n, det, snf, dn_fact, tuple(reports), failing, sqf_status, tuple(notes))
 
-    if not dn_fact.is_complete and dn_fact.squarefree() is None:
+    if dn_fact.squarefree() is None:
         notes.append(f"unfactored cofactor {dn_fact.cofactor} blocks the squarefreeness decision")
         return finish(STATUS_FACTORIZATION_INCOMPLETE, None, (), None)
     if dn_fact.squarefree() is False:
         repeated = next(p for p, e in dn_fact.prime_powers if e >= 2)
-        notes.append(f"d_n is not squarefree: {repeated}^2 divides it")
+        skipped = " (odd part left unfactored)" if v2_dn >= 2 else ""
+        notes.append(f"d_n is not squarefree: {repeated}^2 divides it{skipped}")
         return finish(STATUS_CONDITION_FAILS, None, (), repeated)
 
     if dn % 4 == 2:
@@ -290,9 +284,7 @@ def certify_dgs(g: Graph, effort: str = "default", autopass_report_limit: int | 
         if nullity_snf == 1 and autopass_report_limit is not None and autopass_reported >= autopass_report_limit:
             notes.append(f"prime {p}: nullity 1 passes automatically (report omitted)")
             continue
-        rep = specinv.phi_report(g, p)
-        if rep.nullity != nullity_snf:
-            raise InvariantViolation(f"rank-based nullity {rep.nullity} disagrees with the invariant factors at p={p}")
+        rep = _prime_report(g, snf, p)
         if nullity_snf == 1:
             if not rep.eq_degrees_match:
                 raise InvariantViolation(f"nullity 1 must force a degree-1 squarefree part at p={p}")

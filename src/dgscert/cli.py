@@ -1,9 +1,12 @@
-"""Command-line surface: certification, reports, and the experiment harness.
+"""Command-line surface: certification, reports, and the experiments.
 
 Subcommands: certify, snf, invariants, verify-q, mates, table1,
-conjecture-scan.  All randomness is seeded and every command is
-deterministic given its flags; corpus commands can fan work out to a
-process pool without changing their output.
+conjecture-scan.  This module only parses arguments, reads graphs and
+prints; the work is done by the library (``table1`` and
+``conjecture-scan`` run ``dgscert.experiments``).  All randomness is
+seeded and every command is deterministic given its flags; the
+experiment commands can fan work out to a process pool without changing
+their output.
 
 Exit codes: 0 success / certified, 1 input error, 2 not certified or
 verification failed, 3 internal invariant violated (a bug, not a property
@@ -13,27 +16,17 @@ of the input).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import csv
-import io
 import json
 import sys
-import time
-from dataclasses import dataclass
 
-from . import cospec, specinv
-from .certify import (
-    SQF_PASS,
-    STATUS_DGS_BY_MAIN,
-    STATUS_FACTORIZATION_INCOMPLETE,
-    STATUS_NOT_CONTROLLABLE,
-    certify_dgs,
-)
+from . import cospec
+from .certify import _prime_report, certify_dgs
 from .errors import InvariantViolation
-from .fpalg import MODULUS_CAP
-from .graphcore import Graph, Graph6Error, derive_seed, emit_graph6, parse_adjacency, parse_graph6, random_graph
-from .zlinalg import factor_integer, smith_normal_form, walk_matrix
+from .experiments import run_conjecture_scan, run_experiment
+from .graphcore import Graph, Graph6Error, emit_graph6, parse_adjacency, parse_graph6
+from .zlinalg import smith_normal_form, walk_matrix
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -72,201 +65,6 @@ def read_graphs(path: str, fmt: str = "auto") -> list[Graph]:
     if not graphs:
         raise ValueError(f"no graphs found in {path!r}")
     return graphs
-
-
-# ---------------------------------------------------------------------------
-# experiment harness
-
-
-@dataclass(frozen=True)
-class ExperimentRow:
-    """Per-order tallies of the random-graph certification experiment.
-
-    ``n_incomplete`` counts FACTORIZATION_INCOMPLETE verdicts and
-    ``n_not_controllable`` singular walk matrices; a graph whose d_n could
-    not be decided is in neither the square-free nor the not-square-free
-    share, and these columns say how many there were.
-    """
-
-    n: int
-    samples: int
-    n_squarefree_dn: int
-    n_dgs_thm_sqf: int
-    n_dgs_thm_main: int
-    n_unknown: int
-    seed: int
-    n_incomplete: int
-    n_not_controllable: int
-
-    def __post_init__(self):
-        ok = (
-            self.n_dgs_thm_sqf <= self.n_dgs_thm_main <= self.n_squarefree_dn
-            and self.n_unknown == self.n_squarefree_dn - self.n_dgs_thm_main
-            and self.n_squarefree_dn + self.n_not_controllable <= self.samples
-            and self.n_incomplete + self.n_not_controllable <= self.samples
-        )
-        if not ok:
-            raise InvariantViolation(f"inconsistent experiment tallies for n={self.n}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "dn_squarefree": self.n_squarefree_dn,
-            "dgs_by_sqf_rule": self.n_dgs_thm_sqf,
-            "dgs_by_main_rule": self.n_dgs_thm_main,
-            "unknown": self.n_unknown,
-            "seed": self.seed,
-            "incomplete": self.n_incomplete,
-            "not_controllable": self.n_not_controllable,
-        }
-
-
-CSV_COLUMNS = [
-    "n",
-    "samples",
-    "dn_squarefree",
-    "dgs_by_sqf_rule",
-    "dgs_by_main_rule",
-    "unknown",
-    "seed",
-    "incomplete",
-    "not_controllable",
-]
-
-
-def _certify_sample(args: tuple[int, int, str]) -> tuple[bool, bool, str]:
-    n, seed, effort = args
-    verdict = certify_dgs(random_graph(n, seed), effort)
-    return bool(verdict.dn_squarefree()), verdict.sqf_check == SQF_PASS, verdict.status
-
-
-def _pooled_map(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=8))
-
-
-def run_experiment(
-    n_list, samples: int, seed: int, effort: str = "default", jobs: int = 1, time_limit: float | None = None
-) -> tuple[list[ExperimentRow], bool]:
-    """Certify ``samples`` random graphs per order; returns (rows, truncated).
-
-    Sample k of order n uses the derived seed (seed, n, k), so results do not
-    depend on evaluation order or worker count.
-    """
-    rows = []
-    start = time.monotonic()
-    truncated = False
-    for n in n_list:
-        if time_limit is not None and time.monotonic() - start > time_limit:
-            truncated = True
-            break
-        items = [(n, derive_seed(seed, n, k), effort) for k in range(samples)]
-        outcomes = _pooled_map(_certify_sample, items, jobs)
-        sq = sum(1 for s, _, _ in outcomes if s)
-        sqf = sum(1 for _, f, _ in outcomes if f)
-        statuses = [status for _, _, status in outcomes]
-        main = statuses.count(STATUS_DGS_BY_MAIN)
-        incomplete = statuses.count(STATUS_FACTORIZATION_INCOMPLETE)
-        singular = statuses.count(STATUS_NOT_CONTROLLABLE)
-        rows.append(ExperimentRow(n, samples, sq, sqf, main, sq - main, seed, incomplete, singular))
-    return rows, truncated
-
-
-@dataclass(frozen=True)
-class ScanFinding:
-    graph6: str
-    p: int
-    nullity: int
-    deg_sqrt: int
-    sqrt_divides_restricted: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "p": str(self.p),
-            "nullity": self.nullity,
-            "deg_sqrt": self.deg_sqrt,
-            "sqrt_divides_restricted": self.sqrt_divides_restricted,
-        }
-
-
-@dataclass
-class ScanRow:
-    n: int
-    samples: int
-    graphs_skipped: int
-    prime_checks: int
-    deg_matches: int
-    findings: list[ScanFinding]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "graphs_skipped": self.graphs_skipped,
-            "prime_checks": self.prime_checks,
-            "deg_matches": self.deg_matches,
-            "findings": [f.to_json_dict() for f in self.findings],
-        }
-
-
-def _scan_sample(args: tuple[int, int, str]) -> tuple[int, list[tuple[str, int, int, int, bool, bool]]]:
-    n, seed, effort = args
-    g = random_graph(n, seed)
-    snf = smith_normal_form(walk_matrix(g))
-    if snf.dn == 0:
-        return 1, []
-    odd = snf.dn
-    while odd % 2 == 0:
-        odd //= 2
-    fact = factor_integer(odd, effort)
-    records = []
-    g6 = emit_graph6(g)
-    for p in fact.primes():
-        if p >= MODULUS_CAP:
-            continue
-        rep = specinv.phi_report(g, p)  # proven relations are checked inside
-        records.append(
-            (
-                g6,
-                p,
-                rep.nullity,
-                rep.sqrt_phi.degree,
-                rep.sqrt_phi.degree <= rep.nullity,
-                rep.sqrt_phi.divides(rep.restricted_charpoly),
-            )
-        )
-    return 0, records
-
-
-def run_conjecture_scan(n_list, samples: int, seed: int, effort: str = "default", jobs: int = 1) -> list[ScanRow]:
-    """Probe the strengthened degree statement on random graphs.
-
-    Proven relations abort the scan when violated; the two conjectural
-    statements (deg sqrt <= nullity, and sqrt dividing the restricted
-    characteristic polynomial) merely produce findings, because a genuine
-    violation is a result worth publishing, not a test failure.
-    """
-    rows = []
-    for n in n_list:
-        items = [(n, derive_seed(seed, n, k), effort) for k in range(samples)]
-        outcomes = _pooled_map(_scan_sample, items, jobs)
-        skipped = sum(s for s, _ in outcomes)
-        checks = 0
-        matches = 0
-        findings = []
-        for _, records in outcomes:
-            for g6, p, nullity, deg_sqrt, deg_ok, divides in records:
-                checks += 1
-                if deg_sqrt == nullity:
-                    matches += 1
-                if not deg_ok or not divides:
-                    findings.append(ScanFinding(g6, p, nullity, deg_sqrt, divides))
-        rows.append(ScanRow(n, samples, skipped, checks, matches, findings))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +128,7 @@ def _cmd_snf(args) -> int:
 def _cmd_invariants(args) -> int:
     for g in read_graphs(args.input, args.format):
         with _on_graph(g):
-            rep = specinv.phi_report(g, args.prime)
+            rep = _prime_report(g, smith_normal_form(walk_matrix(g)), args.prime)
         if args.json:
             print(json.dumps({"n": g.n, **rep.to_json_dict()}))
         else:
@@ -384,35 +182,30 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
+CSV_COLUMNS = [
+    "n", "samples", "dn_squarefree", "dgs_by_sqf_rule", "dgs_by_main_rule",
+    "unknown", "seed", "incomplete", "not_controllable",
+]
+
+
+def _experiment_json(args, n_list: list[int], **fields) -> str:
+    params = {"n_list": n_list, "samples": args.samples, "seed": args.seed, "effort": args.effort}
+    return json.dumps({"params": params, **fields}, indent=2)
+
+
 def _cmd_table1(args) -> int:
     n_list = _parse_n_list(args.n_list)
     rows, truncated = run_experiment(
         n_list, args.samples, args.seed, args.effort, jobs=args.jobs, time_limit=args.time_limit
     )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "params": {
-                        "n_list": n_list,
-                        "samples": args.samples,
-                        "seed": args.seed,
-                        "effort": args.effort,
-                    },
-                    "truncated": truncated,
-                    "rows": [r.to_json_dict() for r in rows],
-                },
-                indent=2,
-            )
-        )
+        print(_experiment_json(args, n_list, truncated=truncated, rows=[r.to_json_dict() for r in rows]))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(CSV_COLUMNS)
         for r in rows:
             d = r.to_json_dict()
             writer.writerow([d[c] for c in CSV_COLUMNS])
-        sys.stdout.write(buf.getvalue())
         if truncated:
             print("# truncated: time limit reached before all orders were sampled")
     return EXIT_OK
@@ -422,21 +215,8 @@ def _cmd_conjecture_scan(args) -> int:
     n_list = _parse_n_list(args.n_list)
     rows = run_conjecture_scan(n_list, args.samples, args.seed, args.effort, jobs=args.jobs)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "params": {
-                        "n_list": n_list,
-                        "samples": args.samples,
-                        "seed": args.seed,
-                        "effort": args.effort,
-                    },
-                    "rows": [r.to_json_dict() for r in rows],
-                    "total_findings": sum(len(r.findings) for r in rows),
-                },
-                indent=2,
-            )
-        )
+        total = sum(len(r.findings) for r in rows)
+        print(_experiment_json(args, n_list, rows=[r.to_json_dict() for r in rows], total_findings=total))
     else:
         for r in rows:
             print(

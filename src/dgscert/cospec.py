@@ -19,10 +19,12 @@ from itertools import permutations
 from math import gcd, lcm
 from pathlib import Path
 
+from .certify import _prime_report
 from .errors import InvariantViolation
 from .graphcore import Graph, emit_graph6, parse_graph6
 from .zlinalg import (
     IntMatrix,
+    _odd_part,
     char_poly_int,
     determinant,
     factor_integer,
@@ -490,8 +492,6 @@ def level_parity_audit(pairs) -> list[LevelAuditEntry]:
     with p || d_n and matching sfp/nullity degrees may divide it.  Any
     breach is a fatal inconsistency, not a reportable finding.
     """
-    from .specinv import phi_report  # local import to avoid a cycle
-
     entries = []
     for g_first, g_second in pairs:
         q = recover_q(g_first, g_second)
@@ -502,15 +502,12 @@ def level_parity_audit(pairs) -> list[LevelAuditEntry]:
         if dn % 4 == 2 and q.level % 2 == 0:
             raise InvariantViolation("even level despite d_n = 2 (mod 4)")
         checks = []
-        rest = q.level
-        while rest % 2 == 0:
-            rest //= 2
-        level_fact = factor_integer(rest)
+        level_fact = factor_integer(_odd_part(q.level))
         if not level_fact.is_complete:
             raise InvariantViolation("conjugator level resists factorization; audit cannot be completed")
         for p in level_fact.primes():
             exactly_divides = dn % p == 0 and (dn // p) % p != 0
-            eq4 = phi_report(g_first, p).eq_degrees_match
+            eq4 = _prime_report(g_first, snf, p).eq_degrees_match
             if exactly_divides and eq4:
                 raise InvariantViolation(
                     f"prime {p} divides the level although the degree condition holds and p || d_n"

@@ -448,6 +448,16 @@ EFFORT_LEVELS = ("low", "default", "high")
 _RHO_BUDGET = {"low": 0, "default": 1 << 20, "high": 1 << 24}
 
 
+def _two_adic_valuation(x: int) -> int:
+    """Exponent of 2 in the nonzero integer x."""
+    return (x & -x).bit_length() - 1
+
+
+def _odd_part(x: int) -> int:
+    """The nonzero integer x with every factor 2 divided out (sign kept)."""
+    return x >> _two_adic_valuation(x)
+
+
 def _small_primes() -> list[int]:
     global _small_primes_cache
     if _small_primes_cache is None:
@@ -479,10 +489,10 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        v = _two_adic_valuation(a)
+        a >>= v
+        if v % 2 and n % 8 in (3, 5):
+            result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result
@@ -501,11 +511,8 @@ def _strong_lucas_prp(n: int) -> bool:
             return False
         d = -(d + 2) if d > 0 else -(d - 2)
     q = (1 - d) // 4
-    s = 0
-    t = n + 1
-    while t % 2 == 0:
-        t //= 2
-        s += 1
+    s = _two_adic_valuation(n + 1)
+    t = (n + 1) >> s
     # Lucas chain for U_t, V_t with P = 1
     u, v, qk = 1, 1, q % n
     for bit in bin(t)[3:]:
@@ -545,10 +552,8 @@ def is_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = _two_adic_valuation(n - 1)
+    d = (n - 1) >> s
     if n < _MR_DETERMINISTIC_BOUND:
         return not any(_miller_rabin_composite(n, a, d, s) for a in _MR_BASES)
     if _miller_rabin_composite(n, 2, d, s):

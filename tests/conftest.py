@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from dgscert import specinv
 from dgscert.graphcore import Graph, derive_seed, random_graph
 
 CORPUS_SEED = 0xD65C0DE
@@ -34,3 +37,16 @@ def p3() -> Graph:
 @pytest.fixture(scope="session")
 def c4() -> Graph:
     return Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+@pytest.fixture
+def wrong_nullity(monkeypatch):
+    """Make ``specinv.phi_report`` return a report whose nullity is one too
+    high, so it disagrees with the invariant factors at every prime."""
+    real = specinv.phi_report
+
+    def off_by_one(g, p):
+        rep = real(g, p)
+        return dataclasses.replace(rep, nullity=rep.nullity + 1)
+
+    monkeypatch.setattr(specinv, "phi_report", off_by_one)

@@ -18,7 +18,6 @@ from dgscert.certify import (
     STATUS_DGS_BY_MAIN,
     certify_dgs,
 )
-from dgscert.cli import run_conjecture_scan, run_experiment
 from dgscert.cospec import (
     RationalOrthogonal,
     enumerate_generalized_cospectral_classes,
@@ -26,6 +25,7 @@ from dgscert.cospec import (
     recover_q,
     verify_regular_orthogonal,
 )
+from dgscert.experiments import run_conjecture_scan, run_experiment
 from dgscert.fixtures import (
     MATE9_Q_LEVEL,
     MATE9_Q_NUMERATORS,

@@ -1,5 +1,6 @@
 import pytest
 
+from dgscert import certify
 from dgscert.certify import (
     SQF_FAIL,
     SQF_PASS,
@@ -39,6 +40,16 @@ class TestSqfCondition:
     def test_mate9_fails(self):
         status, _ = check_sqf_condition(mate9_graph())
         assert status == SQF_FAIL
+
+    @pytest.mark.parametrize("graph", [dgs16_graph, mate9_graph])
+    def test_decided_by_dn_minus_one_without_factoring(self, graph, monkeypatch):
+        # an odd prime already in d_{n-1} fails the rule before d_n's odd
+        # part is needed
+        def no_factoring(*args, **kwargs):
+            raise AssertionError("the odd part of d_n was factored")
+
+        monkeypatch.setattr(certify, "factor_integer", no_factoring)
+        assert check_sqf_condition(graph())[0] == SQF_FAIL
 
     def test_single_vertex_passes(self, k1):
         status, _ = check_sqf_condition(k1)

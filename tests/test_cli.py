@@ -9,8 +9,9 @@ from dgscert.certify import (
     certify_dgs,
     validate_verdict_dict,
 )
-from dgscert.cli import EXIT_INVARIANT, ExperimentRow, main, run_conjecture_scan, run_experiment
+from dgscert.cli import EXIT_INVARIANT, main
 from dgscert.errors import InvariantViolation
+from dgscert.experiments import ExperimentRow, run_conjecture_scan, run_experiment
 from dgscert.graphcore import derive_seed, emit_adjacency, emit_graph6, random_graph
 
 
@@ -119,6 +120,11 @@ class TestInvariantViolationExit:
         monkeypatch.setattr(specinv, "phi_report", self._broken)
         code = main(["invariants", str(fixture_files / "dgs16.g6"), "-p", "3"])
         self._assert_one_line_naming_dgs16(code, capsys)
+
+    def test_invariants_checks_the_nullity_against_the_snf(self, fixture_files, capsys, wrong_nullity):
+        code = main(["invariants", str(fixture_files / "dgs16.g6"), "-p", "3"])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == EXIT_INVARIANT and "disagrees with the invariant factors at p=3" in line
 
 
 class TestInvariantsCommand:
@@ -238,6 +244,10 @@ class TestHarnessFunctions:
         rows = run_conjecture_scan([9], samples=6, seed=4)
         (row,) = rows
         assert row.prime_checks >= 0 and not row.findings
+
+    def test_scan_checks_the_nullity_against_the_snf(self, wrong_nullity):
+        with pytest.raises(InvariantViolation, match="disagrees with the invariant factors"):
+            run_conjecture_scan([10, 12], samples=10, seed=1)
 
     def test_scan_single_vertex_is_vacuous(self):
         # d_1 = 1 has no odd prime factors, so nothing is checked

@@ -15,6 +15,7 @@ from dgscert.cospec import (
     spectrum_key,
     verify_regular_orthogonal,
 )
+from dgscert.errors import InvariantViolation
 from dgscert.fixtures import MATE9_Q_LEVEL, MATE9_Q_NUMERATORS, mate9_graph, mate9_mate_graph
 from dgscert.graphcore import Graph, derive_seed, random_graph
 
@@ -223,6 +224,10 @@ class TestLevelAudit:
         g = mate9_graph()
         entries = level_parity_audit([(g, g), (g, g.permuted([8, 7, 6, 5, 4, 3, 2, 1, 0]))])
         assert all(e.level == 1 for e in entries)
+
+    def test_report_nullity_checked_against_invariant_factors(self, wrong_nullity):
+        with pytest.raises(InvariantViolation, match="disagrees with the invariant factors at p=3"):
+            level_parity_audit([(mate9_graph(), mate9_mate_graph())])
 
     def test_json_shape(self):
         entry = level_parity_audit([(mate9_graph(), mate9_mate_graph())])[0]
