@@ -113,6 +113,16 @@ def validate_verdict_dict(data: dict) -> None:
     def fail(msg: str):
         raise ValueError(f"verdict schema violation: {msg}")
 
+    def decimal(x, signed: bool = False) -> bool:
+        if signed and isinstance(x, str):
+            x = x.removeprefix("-")
+        return isinstance(x, str) and x.isascii() and x.isdigit()
+
+    def integer(x, minimum: int) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool) and x >= minimum
+
+    if not isinstance(data, dict):
+        fail("a verdict must be a JSON object")
     expected_keys = {
         "status", "rule", "n", "det_W", "snf", "dn",
         "dn_factors", "dn_cofactor", "primes", "failing_prime", "notes",
@@ -123,29 +133,35 @@ def validate_verdict_dict(data: dict) -> None:
         fail(f"unknown status {data['status']!r}")
     if data["rule"] is not None and not isinstance(data["rule"], str):
         fail("rule must be a string or null")
-    if not isinstance(data["n"], int) or not 1 <= data["n"] <= 64:
+    if not integer(data["n"], 1) or data["n"] > 64:
         fail("n out of range")
-    for key in ("det_W", "dn"):
-        if not isinstance(data[key], str) or not data[key].lstrip("-").isdigit():
+    for key, signed in (("det_W", True), ("dn", False)):
+        if not decimal(data[key], signed):
             fail(f"{key} must be a decimal string")
-    if not isinstance(data["snf"], list) or any(not isinstance(d, str) or not d.isdigit() for d in data["snf"]):
+    if not isinstance(data["snf"], list) or not all(decimal(d) for d in data["snf"]):
         fail("snf must be a list of decimal strings")
     if data["dn_factors"] is not None:
+        if not isinstance(data["dn_factors"], list):
+            fail("dn_factors must be a list or null")
         for item in data["dn_factors"]:
-            if not (isinstance(item, list) and len(item) == 2 and item[0].isdigit() and isinstance(item[1], int)):
+            if not (isinstance(item, list) and len(item) == 2 and decimal(item[0]) and integer(item[1], 1)):
                 fail(f"bad dn_factors entry {item!r}")
-    if data["dn_cofactor"] is not None and not data["dn_cofactor"].isdigit():
+    if data["dn_cofactor"] is not None and not decimal(data["dn_cofactor"]):
         fail("dn_cofactor must be a decimal string or null")
+    if not isinstance(data["primes"], list):
+        fail("primes must be a list")
     for rep in data["primes"]:
+        if not isinstance(rep, dict):
+            fail(f"bad per-prime entry {rep!r}")
         if set(rep) != {"p", "nullity", *_POLY_KEYS, "eq4_holds"}:
             fail(f"bad per-prime key set {sorted(rep)}")
-        if not rep["p"].isdigit() or not isinstance(rep["nullity"], int):
+        if not decimal(rep["p"]) or not integer(rep["nullity"], 0):
             fail("bad per-prime types")
         if any(not isinstance(rep[k], str) for k in _POLY_KEYS):
             fail("polynomials must be display strings")
         if not isinstance(rep["eq4_holds"], bool):
             fail("eq4_holds must be boolean")
-    if data["failing_prime"] is not None and not data["failing_prime"].isdigit():
+    if data["failing_prime"] is not None and not decimal(data["failing_prime"]):
         fail("failing_prime must be a decimal string or null")
     if not isinstance(data["notes"], str):
         fail("notes must be a string")

@@ -296,10 +296,6 @@ class EnumerationResult:
     total_iso_classes: int
     mate_families: dict[SpectrumKey, tuple[str, ...]]
 
-    def class_count(self, key: SpectrumKey) -> int:
-        reps = self.mate_families.get(key)
-        return len(reps) if reps else 1
-
     def is_dgs(self, g: Graph) -> bool:
         if g.n != self.n:
             raise ValueError("graph order does not match the enumeration")

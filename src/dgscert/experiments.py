@@ -91,6 +91,8 @@ def run_experiment(
     The time limit is checked between orders: the order running when it
     expires still completes.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     rows = []
     start = time.monotonic()
     truncated = False
@@ -178,6 +180,8 @@ def run_conjecture_scan(n_list, samples: int, seed: int, effort: str = "default"
     characteristic polynomial) merely produce findings, because a genuine
     violation is a result worth publishing, not a test failure.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     rows = []
     for n in n_list:
         items = [(n, derive_seed(seed, n, k), effort) for k in range(samples)]

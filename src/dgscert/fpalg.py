@@ -54,10 +54,6 @@ class ModPoly:
     def one(cls, p: int) -> "ModPoly":
         return cls(p, (1,))
 
-    @classmethod
-    def x_power(cls, p: int, k: int, coeff: int = 1) -> "ModPoly":
-        return cls.make(p, [0] * k + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

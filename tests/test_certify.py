@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dgscert import certify
@@ -159,6 +161,29 @@ class TestVerdictJson:
         del bad["notes"]
         with pytest.raises(ValueError):
             validate_verdict_dict(bad)
+        # ints where the schema wants decimal strings, a boolean n, and the
+        # schema's minimum rules: exponent >= 1, integer nullity >= 0
+        for path, value in (
+            (("dn_cofactor",), 1),
+            (("failing_prime",), 3),
+            (("dn_factors", 0, 0), 2),
+            (("primes", 0, "p"), 3),
+            (("n",), True),
+            (("dn_factors", 0, 1), 0),
+            (("primes", 0, "nullity"), -1),
+            (("primes", 0, "nullity"), 1.0),
+            (("snf", 0), "\u00b9"),
+            (("primes",), None),
+        ):
+            bad = json.loads(json.dumps(d))
+            target = bad
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            with pytest.raises(ValueError):
+                validate_verdict_dict(bad)
+        with pytest.raises(ValueError):
+            validate_verdict_dict([d])
 
 
 class TestCorpusConsistency:

@@ -202,6 +202,10 @@ class TestTable1Command:
     def test_bad_n_list(self, capsys):
         assert main(["table1", "--n-list", "ten"]) == 1
 
+    def test_negative_samples_is_input_error(self, capsys):
+        assert main(["table1", "--n-list", "8", "--samples", "-1"]) == 1
+        assert "samples must be non-negative" in capsys.readouterr().err
+
 
 class TestConjectureScanCommand:
     def test_runs_clean(self, capsys):
@@ -209,6 +213,11 @@ class TestConjectureScanCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["total_findings"] == 0
         assert code == 0
+
+    def test_negative_samples_is_input_error(self, capsys):
+        assert main(["conjecture-scan", "--n-list", "9", "--samples", "-1", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "samples must be non-negative" in captured.err
 
 
 class TestHarnessFunctions:
