@@ -174,6 +174,8 @@ class TestVerdictJson:
             (("primes", 0, "nullity"), 1.0),
             (("snf", 0), "\u00b9"),
             (("primes",), None),
+            (("primes", 0), "3"),
+            (("dn_factors",), "2 1"),
         ):
             bad = json.loads(json.dumps(d))
             target = bad
