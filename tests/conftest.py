@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from dgscert import specinv
+from dgscert.cospec import enumerate_generalized_cospectral_classes
 from dgscert.graphcore import Graph, derive_seed, random_graph
 
 CORPUS_SEED = 0xD65C0DE
@@ -37,6 +38,13 @@ def p3() -> Graph:
 @pytest.fixture(scope="session")
 def c4() -> Graph:
     return Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+@pytest.fixture(scope="session")
+def mates_n7():
+    """The exhaustive n = 7 enumeration, walked once per session; nothing is
+    read from or written to the on-disk cache."""
+    return enumerate_generalized_cospectral_classes(7, use_cache=False)
 
 
 @pytest.fixture

@@ -1,12 +1,13 @@
-"""Golden gate: verdict JSON, per-prime report JSON and the experiment
-commands' output stay byte-identical.
+"""Golden gate: verdict JSON, per-prime report JSON, the exhaustive mate
+enumeration and the experiment commands' output stay byte-identical.
 
 The verdict and phi files under ``tests/data`` hold one
 ``json.dumps(x.to_json_dict())`` line per case, in the order the generators
-below produce the cases; the table1 and conjecture-scan files hold the
-stdout of the seeded command lines in ``TABLE1_RUNS`` and ``SCAN_RUNS``.
-Any change to a byte of a verdict, of a ``phi_report`` or of an experiment
-row fails here.  Regenerate them only for an intended output change, and
+below produce the cases; the mates file holds one
+``EnumerationResult.to_json_dict()`` line per n = 1..7; the table1 and
+conjecture-scan files hold the stdout of the seeded command lines in
+``TABLE1_RUNS`` and ``SCAN_RUNS``.  Any change to a byte of a verdict, of a
+``phi_report``, of a mate family or of an experiment row fails here.  Regenerate them only for an intended output change, and
 record that change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from dgscert.certify import certify_dgs
 from dgscert.cli import main
+from dgscert.cospec import ENUMERATION_MAX_N, enumerate_generalized_cospectral_classes
 from dgscert.fixtures import dgs16_graph, mate9_graph
 from dgscert.graphcore import derive_seed, random_graph
 from dgscert.specinv import phi_report
@@ -27,6 +29,7 @@ from dgscert.zlinalg import determinant, walk_matrix
 DATA = Path(__file__).parent / "data"
 VERDICTS = DATA / "golden_verdicts.jsonl"
 PHI = DATA / "golden_phi.jsonl"
+MATES = DATA / "golden_mates.jsonl"
 TABLE1 = DATA / "golden_table1.txt"
 SCAN = DATA / "golden_scan.txt"
 
@@ -91,6 +94,12 @@ def phi_lines() -> list[str]:
     return [json.dumps(phi_report(g, p).to_json_dict()) for g, p in _phi_cases()]
 
 
+def mates_lines(top) -> list[str]:
+    """One line per n = 1..7; ``top`` is the n = 7 result, the one costly walk."""
+    results = [enumerate_generalized_cospectral_classes(n, use_cache=False) for n in range(1, ENUMERATION_MAX_N)]
+    return [json.dumps(r.to_json_dict()) for r in results + [top]]
+
+
 def command_lines(runs) -> list[str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -114,6 +123,10 @@ def test_phi_reports_byte_identical():
     _assert_same_lines(phi_lines(), PHI)
 
 
+def test_mate_enumeration_byte_identical(mates_n7):
+    _assert_same_lines(mates_lines(mates_n7), MATES)
+
+
 def test_table1_output_byte_identical():
     _assert_same_lines(command_lines(TABLE1_RUNS), TABLE1)
 
@@ -127,6 +140,7 @@ if __name__ == "__main__":
     for path, lines in (
         (VERDICTS, verdict_lines()),
         (PHI, phi_lines()),
+        (MATES, mates_lines(enumerate_generalized_cospectral_classes(ENUMERATION_MAX_N, use_cache=False))),
         (TABLE1, command_lines(TABLE1_RUNS)),
         (SCAN, command_lines(SCAN_RUNS)),
     ):

@@ -1,33 +1,25 @@
 """Deep checks on the real generalized-cospectral families at n = 7.
 
-The n = 7 enumeration takes about a minute cold, so this module only runs
-when either DGSCERT_TEST_N7=1 is set or a cached enumeration is already on
-disk.  The families found there are the smallest genuine mates and give the
-invariance and level theorems something nontrivial to bite on.
+The families found there are the smallest genuine mates and give the
+invariance and level theorems something nontrivial to bite on.  The
+enumeration comes from the session-scoped ``mates_n7`` fixture, which the
+golden mate-enumeration test shares, so the suite walks n = 7 once.
 """
-
-import os
 
 import pytest
 
 from dgscert.certify import certify_dgs
-from dgscert.cospec import cache_directory, enumerate_generalized_cospectral_classes, spectrum_key
+from dgscert.cospec import spectrum_key
 from dgscert.graphcore import parse_graph6
 from dgscert.specinv import phi_p
 from dgscert.zlinalg import determinant, walk_matrix
 
-_HAVE_CACHE = (cache_directory() / "mates_n7.json").is_file()
-_ENABLED = os.environ.get("DGSCERT_TEST_N7") == "1" or _HAVE_CACHE
-
-pytestmark = pytest.mark.skipif(not _ENABLED, reason="n=7 enumeration not cached; set DGSCERT_TEST_N7=1")
-
 
 @pytest.fixture(scope="module")
-def families():
-    result = enumerate_generalized_cospectral_classes(7)
-    assert result.total_iso_classes == 1044
-    assert len(result.mate_families) > 0
-    return result.mate_families
+def families(mates_n7):
+    assert mates_n7.total_iso_classes == 1044
+    assert len(mates_n7.mate_families) > 0
+    return mates_n7.mate_families
 
 
 def test_family_members_share_spectrum_key(families):
