@@ -2,11 +2,11 @@
 of the conjugating rational orthogonal matrix, level audits, and the
 exhaustive small-n ground-truth oracle.
 
-The oracle enumerates every labeled graph on n <= 7 vertices, groups them by
-their exact generalized-spectrum key, and collapses isomorphism inside each
-group by brute-force vertex permutation.  A graph is ground-truth DGS
-exactly when its key's class set is a singleton.  Enumeration results are
-memoized on disk because the n = 7 pass is expensive.
+The oracle walks every isomorphism orbit of labeled graphs on n <= 7
+vertices once, keys the least-code member of each orbit with its exact
+generalized-spectrum key, and groups those representatives by key.  A graph
+is ground-truth DGS exactly when its key's class set is a singleton.
+Enumeration results are memoized on disk; the n = 7 walk takes seconds.
 """
 
 from __future__ import annotations
@@ -87,6 +87,23 @@ class RationalOrthogonal:
             if sum(row) != lvl:
                 raise ValueError("matrix is not regular (row sums differ from 1)")
 
+    def conjugate(self, g: Graph) -> Graph:
+        """The graph whose adjacency matrix is Q^T A(g) Q, computed exactly as
+        N^T A N / level^2 for the numerator matrix N.
+
+        Raises ValueError unless that matrix is a graph's: integral, 0/1,
+        symmetric, with zero diagonal.
+        """
+        if g.n != self.n:
+            raise ValueError("graph order does not match the matrix")
+        n, nm, l2 = self.n, self.numerators, self.level * self.level
+        a = g.adjacency()
+        an = [[sum(a[i][k] * nm[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        raw = [[sum(nm[k][i] * an[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        if any(v % l2 for row in raw for v in row):
+            raise ValueError("Q^T A Q is not integral")
+        return Graph.from_adjacency([[v // l2 for v in row] for row in raw])
+
     def transpose(self) -> "RationalOrthogonal":
         return RationalOrthogonal(self.n, tuple(zip(*self.numerators)), self.level)
 
@@ -95,25 +112,12 @@ class RationalOrthogonal:
 
 
 def verify_regular_orthogonal(q: RationalOrthogonal, g_first: Graph, g_second: Graph) -> bool:
-    """True iff Q^T Q = I, Q e = e, and Q^T A(first) Q = A(second), all exact."""
-    if q.n != g_first.n or q.n != g_second.n:
+    """True iff Q^T A(first) Q = A(second), exact.  Q^T Q = I and Q e = e need
+    no check here: every RationalOrthogonal is validated on construction."""
+    try:
+        return q.conjugate(g_first) == g_second
+    except ValueError:
         return False
-    n, nm, lvl = q.n, q.numerators, q.level
-    l2 = lvl * lvl
-    for i in range(n):
-        for j in range(i, n):
-            if sum(nm[k][i] * nm[k][j] for k in range(n)) != (l2 if i == j else 0):
-                return False
-    if any(sum(row) != lvl for row in nm):
-        return False
-    a = g_first.adjacency()
-    b = g_second.adjacency()
-    an = [[sum(a[i][k] * nm[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if sum(nm[k][i] * an[k][j] for k in range(n)) != l2 * b[i][j]:
-                return False
-    return True
 
 
 def recover_q(g_first: Graph, g_second: Graph) -> RationalOrthogonal:
@@ -184,102 +188,33 @@ def _code_to_graph(code: int, n: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _graph_to_code(g: Graph) -> int:
-    code = 0
-    for b, (i, j) in enumerate(_pairs(g.n)):
-        if g.has_edge(i, j):
-            code |= 1 << b
-    return code
-
-
-def _perm_bit_maps(n: int) -> list[list[int]]:
-    """For every vertex permutation, the induced permutation of pair bits."""
+def _perm_bit_images(n: int) -> list[tuple[int, ...]]:
+    """For every vertex permutation, the image of each pair bit as a mask."""
     pairs = _pairs(n)
-    index = {pair: b for b, pair in enumerate(pairs)}
-    maps = []
-    for perm in permutations(range(n)):
-        maps.append([index[tuple(sorted((perm[i], perm[j])))] for (i, j) in pairs])
-    return maps
+    mask = {pair: 1 << b for b, pair in enumerate(pairs)}
+    return [
+        tuple(mask[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pairs)
+        for perm in permutations(range(n))
+    ]
 
 
-def _orbit_codes(code: int, bit_maps: list[list[int]], nbits: int) -> set[int]:
-    orbit = set()
-    for bm in bit_maps:
-        out = 0
-        for b in range(nbits):
-            if code >> bm[b] & 1:
-                out |= 1 << b
-        orbit.add(out)
-    return orbit
+def _class_codes(n: int):
+    """The least code of every isomorphism orbit of n-vertex graphs, in
+    increasing order.
 
-
-def canonical_code(g: Graph) -> int:
-    """Smallest pair-bit code over all vertex relabelings of g.
-
-    Brute force over permutations, prefiltered: only permutations that map
-    the degree multiset onto itself position-by-position can realize the
-    minimum search space, so vertices are bucketed by degree first.
+    Codes are visited in increasing order and each unseen one marks its whole
+    orbit, so the first code met in an orbit is its minimum.
     """
-    n = g.n
-    if n > ENUMERATION_MAX_N:
-        raise ValueError(f"canonical forms are computed by brute force, n <= {ENUMERATION_MAX_N} only")
-    degs = g.degrees()
-    order = sorted(range(n), key=lambda v: degs[v])
-    buckets: list[list[int]] = []
-    for v in order:
-        if buckets and degs[buckets[-1][0]] == degs[v]:
-            buckets[-1].append(v)
-        else:
-            buckets.append([v])
-    best = None
-    for parts in _bucket_perms(buckets):
-        code = _graph_to_code(g.permuted(parts))
-        if best is None or code < best:
-            best = code
-    return best
-
-
-def _bucket_perms(buckets: list[list[int]]):
-    if not buckets:
-        yield []
-        return
-    head, rest = buckets[0], buckets[1:]
-    for head_perm in permutations(head):
-        for tail in _bucket_perms(rest):
-            yield list(head_perm) + tail
-
-
-def _batched_charpolys(codes: np.ndarray, n: int, complement: bool) -> np.ndarray:
-    """Exact characteristic polynomial coefficients (c_1..c_n, descending
-    after the implicit leading 1) for a batch of graph codes.
-
-    Faddeev-LeVerrier over int64: with M_1 = I, each step takes
-    c_k = -tr(A M_k) / k (an exact integer division) and
-    M_{k+1} = A M_k + c_k I.  At n <= 7 every intermediate is tiny, so
-    int64 never overflows.
-    """
-    import numpy as np  # only the enumeration oracle needs numpy
-
-    m = len(codes)
-    adj = np.zeros((m, n, n), dtype=np.int64)
-    for b, (i, j) in enumerate(_pairs(n)):
-        mask = (codes >> b & 1).astype(bool)
-        adj[mask, i, j] = 1
-        adj[mask, j, i] = 1
-    if complement:
-        adj = 1 - np.eye(n, dtype=np.int64) - adj
-    coeffs = np.zeros((m, n), dtype=np.int64)
-    mk = np.broadcast_to(np.eye(n, dtype=np.int64), (m, n, n)).copy()
-    for k in range(1, n + 1):
-        am = adj @ mk
-        tr = np.trace(am, axis1=1, axis2=2)
-        if np.any(tr % k):
-            raise InvariantViolation("trace not divisible in the batched charpoly recurrence")
-        ck = -(tr // k)
-        coeffs[:, k - 1] = ck
-        if k < n:
-            mk = am + ck[:, None, None] * np.eye(n, dtype=np.int64)
-    return coeffs
+    nbits = n * (n - 1) // 2
+    images = _perm_bit_images(n)
+    seen = bytearray(1 << nbits)
+    for code in range(1 << nbits):
+        if seen[code]:
+            continue
+        ones = [b for b in range(nbits) if code >> b & 1]
+        for image in images:
+            seen[sum(map(image.__getitem__, ones))] = 1
+        yield code
 
 
 @dataclass
@@ -336,21 +271,15 @@ def cache_directory(explicit: str | os.PathLike | None = None) -> Path:
     return Path.home() / ".cache" / "dgscert"
 
 
-def _descending_to_ascending(leading_one_tail: list[int]) -> tuple[int, ...]:
-    return tuple(reversed([1] + leading_one_tail))
-
-
 def enumerate_generalized_cospectral_classes(
     n: int, *, use_cache: bool = True, cache_dir: str | os.PathLike | None = None
 ) -> EnumerationResult:
-    """Group all labeled n-vertex graphs by generalized-spectrum key and
-    collapse isomorphism inside each group.
+    """Group the isomorphism classes of n-vertex graphs by their exact
+    generalized-spectrum key.
 
-    Spectrum keys come from an exact integer batched recurrence and are
-    cross-checked against the division-free characteristic polynomial on a
-    sample and on every non-singleton family.  Isomorphism collapse walks
-    whole permutation orbits, which costs one orbit per class instead of one
-    canonicalization per graph.
+    One orbit walk yields a representative per class; each is keyed with
+    ``spectrum_key``, so every key is computed once per class, never per
+    labeled graph.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
@@ -362,51 +291,12 @@ def enumerate_generalized_cospectral_classes(
         except (json.JSONDecodeError, KeyError, TypeError):
             pass  # corrupted cache entry: recompute and overwrite
 
-    import numpy as np  # only the enumeration oracle needs numpy
-
-    nbits = n * (n - 1) // 2
-    total = 1 << nbits
-    codes = np.arange(total, dtype=np.int64)
-    key_parts = []
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        batch = codes[start : start + chunk]
-        key_parts.append(
-            np.hstack([_batched_charpolys(batch, n, False), _batched_charpolys(batch, n, True)]).astype(np.int32)
-        )
-    keys = np.vstack(key_parts)
-    del key_parts
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.ravel()
-
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.cumsum(counts)
-    bit_maps = _perm_bit_maps(n)
-    families: dict[SpectrumKey, tuple[str, ...]] = {}
-    total_classes = 0
-    start = 0
-    for gi in range(len(counts)):
-        stop = boundaries[gi]
-        member_codes = order[start:stop]
-        start = stop
-        remaining = set(int(c) for c in member_codes)
-        reps = []
-        while remaining:
-            seed = min(remaining)
-            orbit = _orbit_codes(seed, bit_maps, nbits)
-            if not orbit <= remaining:
-                raise InvariantViolation("isomorphic graphs landed in different spectrum-key groups")
-            remaining -= orbit
-            reps.append(min(orbit))
-        total_classes += len(reps)
-        if len(reps) > 1:
-            rep_graph = _code_to_graph(reps[0], n)
-            key = spectrum_key(rep_graph)
-            _check_family_keys(reps, n, key)
-            families[key] = tuple(emit_graph6(_code_to_graph(c, n)) for c in sorted(reps))
-
-    _crosscheck_sample(keys, n)
-    result = EnumerationResult(n, total, total_classes, families)
+    classes = iter_isomorphism_classes(n)
+    groups: dict[SpectrumKey, list[Graph]] = {}
+    for g in classes:
+        groups.setdefault(spectrum_key(g), []).append(g)
+    families = {key: tuple(emit_graph6(g) for g in reps) for key, reps in groups.items() if len(reps) > 1}
+    result = EnumerationResult(n, 1 << (n * (n - 1) // 2), len(classes), families)
     if use_cache:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         tmp = cache_path.with_suffix(".tmp")
@@ -416,40 +306,12 @@ def enumerate_generalized_cospectral_classes(
     return result
 
 
-def _check_family_keys(rep_codes: list[int], n: int, key: SpectrumKey) -> None:
-    # exact recheck with the independent charpoly implementation
-    for code in rep_codes:
-        if spectrum_key(_code_to_graph(code, n)) != key:
-            raise InvariantViolation("batched spectrum key disagrees with the exact recomputation")
-
-
-def _crosscheck_sample(keys: np.ndarray, n: int) -> None:
-    stride = max(1, len(keys) // 64)
-    for code in range(0, len(keys), stride):
-        g = _code_to_graph(code, n)
-        expect = spectrum_key(g)
-        row = keys[code]
-        got_cp = _descending_to_ascending([int(v) for v in row[:n]])
-        got_cc = _descending_to_ascending([int(v) for v in row[n:]])
-        if (got_cp, got_cc) != (expect.charpoly, expect.charpoly_complement):
-            raise InvariantViolation("batched spectrum key disagrees with the exact recomputation")
-
-
 def iter_isomorphism_classes(n: int) -> list[Graph]:
-    """One representative per isomorphism class of n-vertex graphs (n <= 7)."""
+    """One representative per isomorphism class of n-vertex graphs (n <= 7):
+    the least-code member of each, in increasing code order."""
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
-    nbits = n * (n - 1) // 2
-    bit_maps = _perm_bit_maps(n)
-    seen = bytearray(1 << nbits)
-    reps = []
-    for code in range(1 << nbits):
-        if seen[code]:
-            continue
-        for member in _orbit_codes(code, bit_maps, nbits):
-            seen[member] = 1
-        reps.append(_code_to_graph(code, n))
-    return reps
+    return [_code_to_graph(code, n) for code in _class_codes(n)]
 
 
 # ---------------------------------------------------------------------------

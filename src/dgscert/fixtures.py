@@ -15,7 +15,8 @@ Two fixtures are provided:
 
 from __future__ import annotations
 
-from .graphcore import Graph
+from .cospec import RationalOrthogonal, emit_pair_fixture
+from .graphcore import Graph, emit_adjacency, emit_graph6
 
 DGS16_ADJACENCY = (
     (0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0),
@@ -71,41 +72,29 @@ def mate9_graph() -> Graph:
     return Graph.from_adjacency(MATE9_ADJACENCY)
 
 
+def _mate9_q() -> RationalOrthogonal:
+    return RationalOrthogonal(9, MATE9_Q_NUMERATORS, MATE9_Q_LEVEL)
+
+
 def mate9_mate_graph() -> Graph:
     """The non-isomorphic generalized-cospectral mate: Q^T A Q rebuilt exactly.
 
-    With N the numerator matrix and l the level, the conjugate is
-    N^T A N / l**2; every entry must come out as 0 or 1 for the fixture to
-    be coherent, so the division is checked.
+    ``RationalOrthogonal.conjugate`` raises unless the conjugate is a graph's
+    adjacency matrix, so an incoherent fixture cannot load.
     """
-    a = MATE9_ADJACENCY
-    nmat = MATE9_Q_NUMERATORS
-    n = len(a)
-    an = [[sum(a[i][k] * nmat[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    raw = [[sum(nmat[k][i] * an[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    lvl2 = MATE9_Q_LEVEL**2
-    out = []
-    for row in raw:
-        if any(v % lvl2 for v in row):
-            raise AssertionError("conjugated fixture matrix is not integral")
-        out.append([v // lvl2 for v in row])
-    return Graph.from_adjacency(out)
+    return _mate9_q().conjugate(mate9_graph())
 
 
 def write_fixture_files(directory) -> list[str]:
     """Materialize the fixtures as CLI-ready input files; returns the paths."""
     import os
 
-    from .cospec import RationalOrthogonal, emit_pair_fixture
-    from .graphcore import emit_adjacency, emit_graph6
-
     os.makedirs(directory, exist_ok=True)
-    q = RationalOrthogonal(9, MATE9_Q_NUMERATORS, MATE9_Q_LEVEL)
     files = {
         "dgs16.g6": emit_graph6(dgs16_graph()) + "\n",
         "mate9.g6": emit_graph6(mate9_graph()) + "\n",
         "mate9.adj": emit_adjacency(mate9_graph()),
-        "mate9_pair.txt": emit_pair_fixture(mate9_graph(), mate9_mate_graph(), q),
+        "mate9_pair.txt": emit_pair_fixture(mate9_graph(), mate9_mate_graph(), _mate9_q()),
     }
     written = []
     for name, content in files.items():

@@ -134,9 +134,6 @@ class ModPoly:
     def __mod__(self, other: "ModPoly") -> "ModPoly":
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other: "ModPoly") -> "ModPoly":
-        return self.divmod(other)[0]
-
     def exact_div(self, other: "ModPoly") -> "ModPoly":
         q, r = self.divmod(other)
         if not r.is_zero():

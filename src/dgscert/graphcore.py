@@ -127,9 +127,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.has_edge(i, j)]
-
     def adjacency(self) -> list[list[int]]:
         """Dense 0/1 adjacency matrix as nested lists."""
         return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]

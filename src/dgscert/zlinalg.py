@@ -441,7 +441,6 @@ def rational_solve(m: IntMatrix, b: IntMatrix) -> list[list[Fraction]]:
 _TRIAL_LIMIT = 10**6
 _small_primes_cache: list[int] | None = None
 
-EFFORT_LEVELS = ("low", "default", "high")
 # per-composite iteration caps for the rho stage; "default" reliably splits
 # off prime factors up to ~2**40 while keeping the worst case (a composite
 # with no such factor) at a few seconds of work
@@ -640,17 +639,14 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
         while n % p == 0:
             powers[p] = powers.get(p, 0) + 1
             n //= p
-    if n > 1:
-        if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n):
-            # below the trial bound squared any survivor is prime
-            powers[n] = powers.get(n, 0) + 1
-            n = 1
     cofactor = 1
     if n > 1:
         stack = [n]
         while stack:
             c = stack.pop()
-            if is_prime(c):
+            # every factor left has no prime below the trial bound, so below
+            # its square it is prime
+            if c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
                 powers[c] = powers.get(c, 0) + 1
                 continue
             root, k = _perfect_power(c)

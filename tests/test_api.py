@@ -16,11 +16,13 @@ def test_exported_names_are_unique():
 
 
 def test_import_does_not_load_numpy():
-    # numpy serves only the n <= 7 enumeration oracle and loads on first use;
-    # the experiments and their process pool load with the CLI commands
+    # the package never loads numpy, the n <= 7 enumeration oracle included;
+    # the experiments and their process pool load only with the CLI commands
     code = (
         "import sys, dgscert; "
-        "sys.exit(any(m in sys.modules for m in ('numpy', 'dgscert.experiments', 'concurrent.futures')))"
+        "lazy = any(m in sys.modules for m in ('numpy', 'dgscert.experiments', 'concurrent.futures')); "
+        "dgscert.enumerate_generalized_cospectral_classes(4, use_cache=False); "
+        "sys.exit(lazy or 'numpy' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(dgscert.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
