@@ -20,6 +20,7 @@ from .specinv import PhiReport
 from .zlinalg import (
     FactorizationResult,
     SnfResult,
+    _check_effort,
     _odd_part,
     _two_adic_valuation,
     determinant,
@@ -193,6 +194,7 @@ def check_sqf_condition(g: Graph, effort: str = "default") -> tuple[str, dict]:
     On PASS the invariant-factor chain must take the rigid shape
     [1, ..., 1, 2, ..., 2, 2b]; a mismatch is an internal error.
     """
+    _check_effort(effort)
     snf = smith_normal_form(walk_matrix(g))
     det = snf.det_sign * snf.abs_det()
     if det == 0:
@@ -238,7 +240,12 @@ def certify_dgs(g: Graph, effort: str = "default", autopass_report_limit: int | 
 
     ``autopass_report_limit`` caps how many automatically passing primes
     still get a full per-prime evidence report; it never changes the verdict.
+    An unknown effort level or a negative limit raises ValueError before
+    any work is done.
     """
+    _check_effort(effort)
+    if autopass_report_limit is not None and autopass_report_limit < 0:
+        raise ValueError("autopass_report_limit must be non-negative")
     n = g.n
     snf = smith_normal_form(walk_matrix(g))
     det = snf.det_sign * snf.abs_det()

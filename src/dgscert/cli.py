@@ -157,9 +157,7 @@ def _cmd_verify_q(args) -> int:
 
 
 def _cmd_mates(args) -> int:
-    result = cospec.enumerate_generalized_cospectral_classes(
-        args.n, use_cache=not args.no_cache, cache_dir=args.cache_dir
-    )
+    result = cospec.enumerate_generalized_cospectral_classes(args.n)
     if args.json:
         print(json.dumps(result.to_json_dict(), indent=2))
     else:
@@ -270,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("mates", help="exhaustive generalized-cospectral families for small n")
     p.add_argument("-n", type=int, required=True, help="vertex count (at most 7)")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_mates)
 
     p = subs.add_parser("table1", help="random-graph certification statistics")

@@ -6,18 +6,16 @@ The oracle walks every isomorphism orbit of labeled graphs on n <= 7
 vertices once, keys the least-code member of each orbit with its exact
 generalized-spectrum key, and groups those representatives by key.  A graph
 is ground-truth DGS exactly when its key's class set is a singleton.
-Enumeration results are memoized on disk; the n = 7 walk takes seconds.
+Every call walks the orbits afresh and touches no file or environment
+variable; the n = 7 walk takes seconds.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
-from pathlib import Path
 
 from .certify import _prime_report
 from .errors import InvariantViolation
@@ -34,7 +32,6 @@ from .zlinalg import (
 )
 
 ENUMERATION_MAX_N = 7
-CACHE_ENV_VAR = "DGSCERT_CACHE"
 
 
 @dataclass(frozen=True)
@@ -253,57 +250,21 @@ class EnumerationResult:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EnumerationResult":
-        fams = {
-            SpectrumKey(tuple(f["charpoly"]), tuple(f["charpoly_complement"])): tuple(f["reps"])
-            for f in data["families"]
-        }
-        return cls(data["n"], data["total_graphs"], data["total_iso_classes"], fams)
 
-
-def cache_directory(explicit: str | os.PathLike | None = None) -> Path:
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "dgscert"
-
-
-def enumerate_generalized_cospectral_classes(
-    n: int, *, use_cache: bool = True, cache_dir: str | os.PathLike | None = None
-) -> EnumerationResult:
-    """Group the isomorphism classes of n-vertex graphs by their exact
-    generalized-spectrum key.
+def enumerate_generalized_cospectral_classes(n: int) -> EnumerationResult:
+    """Group the isomorphism classes of n-vertex graphs (1 <= n <= 7) by
+    their exact generalized-spectrum key.
 
     One orbit walk yields a representative per class; each is keyed with
     ``spectrum_key``, so every key is computed once per class, never per
     labeled graph.
     """
-    if not 1 <= n <= ENUMERATION_MAX_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
-    cache_path = cache_directory(cache_dir) / f"mates_n{n}.json"
-    if use_cache and cache_path.is_file():
-        try:
-            with open(cache_path, encoding="utf-8") as fh:
-                return EnumerationResult.from_json_dict(json.load(fh))
-        except (json.JSONDecodeError, KeyError, TypeError):
-            pass  # corrupted cache entry: recompute and overwrite
-
     classes = iter_isomorphism_classes(n)
     groups: dict[SpectrumKey, list[Graph]] = {}
     for g in classes:
         groups.setdefault(spectrum_key(g), []).append(g)
     families = {key: tuple(emit_graph6(g) for g in reps) for key, reps in groups.items() if len(reps) > 1}
-    result = EnumerationResult(n, 1 << (n * (n - 1) // 2), len(classes), families)
-    if use_cache:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(result.to_json_dict(), fh)
-        os.replace(tmp, cache_path)
-    return result
+    return EnumerationResult(n, 1 << (n * (n - 1) // 2), len(classes), families)
 
 
 def iter_isomorphism_classes(n: int) -> list[Graph]:

@@ -447,6 +447,12 @@ _small_primes_cache: list[int] | None = None
 _RHO_BUDGET = {"low": 0, "default": 1 << 20, "high": 1 << 24}
 
 
+def _check_effort(effort: str) -> None:
+    """Raise ValueError unless ``effort`` names a level of the factoring ladder."""
+    if effort not in _RHO_BUDGET:
+        raise ValueError(f"unknown effort level {effort!r}")
+
+
 def _two_adic_valuation(x: int) -> int:
     """Exponent of 2 in the nonzero integer x."""
     return (x & -x).bit_length() - 1
@@ -628,8 +634,7 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
     raises the cap to 2**24.  The rho parameter ladder is fixed (x0 = 2,
     c = 1, 2, 3, ...), so results never depend on call order.
     """
-    if effort not in _RHO_BUDGET:
-        raise ValueError(f"unknown effort level {effort!r}")
+    _check_effort(effort)
     if n < 1:
         raise ValueError("factor_integer requires n >= 1")
     powers: dict[int, int] = {}

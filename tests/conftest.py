@@ -42,9 +42,8 @@ def c4() -> Graph:
 
 @pytest.fixture(scope="session")
 def mates_n7():
-    """The exhaustive n = 7 enumeration, walked once per session; nothing is
-    read from or written to the on-disk cache."""
-    return enumerate_generalized_cospectral_classes(7, use_cache=False)
+    """The exhaustive n = 7 enumeration, walked once per session."""
+    return enumerate_generalized_cospectral_classes(7)
 
 
 @pytest.fixture

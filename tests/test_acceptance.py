@@ -6,7 +6,6 @@ every run checks the identical set of graphs.
 """
 
 import json
-import os
 import time
 from contextlib import contextmanager
 
@@ -150,22 +149,22 @@ def test_criterion_3_theorem_invariant_suite():
                     assert abs(det) == p**rep.nullity * abs(determinant(red))
 
 
-def test_criterion_4_oracle_soundness_small_n():
-    enable_n7 = os.environ.get("DGSCERT_ACCEPT_N7") == "1"
-    top = 7 if enable_n7 else 6
-    with criterion(4, f"oracle soundness up to n={top}", 900.0):
+def test_criterion_4_oracle_soundness_small_n(mates_n7):
+    with criterion(4, "oracle soundness up to n=7", 900.0):
         certified_total = 0
-        for n in range(1, top + 1):
-            result = enumerate_generalized_cospectral_classes(n, use_cache=enable_n7)
+        for n in range(1, 8):
+            # mate families first appear at n = 7, whose walk the session shares
+            result = mates_n7 if n == 7 else enumerate_generalized_cospectral_classes(n)
             for rep in iter_isomorphism_classes(n):
                 verdict = certify_dgs(rep)
                 if verdict.certified:
                     certified_total += 1
                     assert result.is_dgs(rep), f"certified a graph with a mate: {rep}"
-        # controllable graphs have trivial automorphism group, and apart
-        # from the single vertex no asymmetric graph exists below n = 6
-        # (there are exactly eight at n = 6), so nine is the ceiling here
-        assert certified_total >= 5, "soundness check ran on too few certified graphs"
+        # controllable graphs have trivial automorphism group, so only the
+        # single vertex and the asymmetric graphs can be certified: 8 at
+        # n = 6 and 152 at n = 7, none in between, a ceiling of 161; the
+        # rule certifies 1 + 8 + 88 of them
+        assert certified_total >= 97, "soundness check ran on too few certified graphs"
         print(f"  certified representatives checked: {certified_total}")
 
 

@@ -16,6 +16,7 @@ from dgscert.certify import (
     validate_verdict_dict,
 )
 from dgscert.fixtures import dgs16_graph, mate9_graph
+from dgscert.graphcore import derive_seed, random_graph
 from conftest import seeded_corpus
 
 B_FIXTURE = 3 * 23 * 29 * 1225550789 * 6442787651
@@ -135,6 +136,17 @@ class TestCertifyFixtures:
         assert limited.status == full.status == STATUS_DGS_BY_MAIN
         assert [r.p for r in limited.per_prime] == [3]
         assert len(full.per_prime) == 5
+
+    @pytest.mark.parametrize(
+        "k,status", [(1, STATUS_CONDITION_FAILS), (3, STATUS_NOT_CONTROLLABLE)], ids=["4-divides-dn", "singular"]
+    )
+    def test_unknown_effort_rejected_before_any_work(self, k, status):
+        # neither graph reaches the factoring ladder, which also rejects it
+        g = random_graph(12, derive_seed(1, 12, k))
+        assert certify_dgs(g).status == status
+        for check in (certify_dgs, check_sqf_condition):
+            with pytest.raises(ValueError, match="unknown effort level 'bogus'"):
+                check(g, "bogus")
 
 
 class TestVerdictJson:

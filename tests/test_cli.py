@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dgscert
 from dgscert import cli, cospec, fixtures, specinv
 from dgscert.certify import (
     STATUS_FACTORIZATION_INCOMPLETE,
@@ -67,6 +72,11 @@ class TestCertifyCommand:
         verdict = json.loads(capsys.readouterr().out)
         assert [r["p"] for r in verdict["primes"]] == ["3"]
         assert verdict["status"] == "DGS_BY_MAIN"
+
+    def test_negative_primes_limit_is_input_error(self, fixture_files, capsys):
+        assert main(["certify", str(fixture_files / "dgs16.g6"), "--primes-limit", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "autopass_report_limit must be non-negative" in captured.err
 
     def test_multiple_graphs_one_verdict_per_line(self, tmp_path, capsys):
         batch = tmp_path / "batch.g6"
@@ -163,16 +173,38 @@ class TestVerifyQCommand:
 
 
 class TestMatesCommand:
-    def test_small_run(self, tmp_path, capsys):
-        code = main(["mates", "-n", "4", "--json", "--cache-dir", str(tmp_path)])
+    def test_small_run(self, capsys):
+        code = main(["mates", "-n", "4", "--json"])
         data = json.loads(capsys.readouterr().out)
         assert data["total_iso_classes"] == 11 and data["families"] == []
         assert code == 0
 
-    def test_text_summary(self, tmp_path, capsys):
-        main(["mates", "-n", "3", "--no-cache", "--cache-dir", str(tmp_path)])
+    def test_text_summary(self, capsys):
+        main(["mates", "-n", "3"])
         out = capsys.readouterr().out
         assert "iso_classes=4" in out
+
+    def test_oracle_reads_and_writes_no_files(self, tmp_path):
+        # an unusable home directory and a planted bogus result under it
+        # must both leave the output equal to a fresh walk
+        fresh = json.dumps(cospec.enumerate_generalized_cospectral_classes(4).to_json_dict(), indent=2) + "\n"
+        src = str(Path(dgscert.__file__).resolve().parents[1])
+
+        def run_mates(home: Path):
+            env = {**os.environ, "HOME": str(home), "PYTHONPATH": src}
+            argv = [sys.executable, "-m", "dgscert.cli", "mates", "-n", "4", "--json"]
+            return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+        home_file = tmp_path / "home_is_a_file"
+        home_file.write_text("")
+        proc = run_mates(home_file)
+        assert proc.returncode == 0 and proc.stdout == fresh, proc.stderr
+
+        planted = tmp_path / "home" / ".cache" / "dgscert" / "mates_n4.json"
+        planted.parent.mkdir(parents=True)
+        planted.write_text(json.dumps({"n": 4, "total_graphs": 1, "total_iso_classes": 1, "families": []}))
+        proc = run_mates(tmp_path / "home")
+        assert proc.returncode == 0 and proc.stdout == fresh, proc.stderr
 
     def test_order_above_budget_is_input_error(self, capsys):
         assert main(["mates", "-n", "8"]) == 1

@@ -96,7 +96,7 @@ def phi_lines() -> list[str]:
 
 def mates_lines(top) -> list[str]:
     """One line per n = 1..7; ``top`` is the n = 7 result, the one costly walk."""
-    results = [enumerate_generalized_cospectral_classes(n, use_cache=False) for n in range(1, ENUMERATION_MAX_N)]
+    results = [enumerate_generalized_cospectral_classes(n) for n in range(1, ENUMERATION_MAX_N)]
     return [json.dumps(r.to_json_dict()) for r in results + [top]]
 
 
@@ -140,7 +140,7 @@ if __name__ == "__main__":
     for path, lines in (
         (VERDICTS, verdict_lines()),
         (PHI, phi_lines()),
-        (MATES, mates_lines(enumerate_generalized_cospectral_classes(ENUMERATION_MAX_N, use_cache=False))),
+        (MATES, mates_lines(enumerate_generalized_cospectral_classes(ENUMERATION_MAX_N))),
         (TABLE1, command_lines(TABLE1_RUNS)),
         (SCAN, command_lines(SCAN_RUNS)),
     ):
