@@ -23,7 +23,7 @@ from .certify import (
 from .errors import InvariantViolation
 from .fpalg import MODULUS_CAP
 from .graphcore import derive_seed, emit_graph6, random_graph
-from .zlinalg import _odd_part, factor_integer, smith_normal_form, walk_matrix
+from .zlinalg import _check_effort, _odd_part, factor_integer, smith_normal_form, walk_matrix
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,7 @@ def run_experiment(
     The time limit is checked between orders: the order running when it
     expires still completes.
     """
+    _check_effort(effort)
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     rows = []
@@ -180,6 +181,7 @@ def run_conjecture_scan(n_list, samples: int, seed: int, effort: str = "default"
     characteristic polynomial) merely produce findings, because a genuine
     violation is a result worth publishing, not a test failure.
     """
+    _check_effort(effort)
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     rows = []

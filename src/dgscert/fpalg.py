@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .zlinalg import IntMatrix, _charpoly_berkowitz, is_prime
+from .zlinalg import IntMatrix, is_prime
 
 MODULUS_CAP = 1 << 62
 
@@ -349,10 +349,72 @@ def nullspace_basis_p(m: IntMatrix, p: int) -> list[tuple[int, ...]]:
     return basis
 
 
+def _charpoly_hessenberg(h: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial of a square matrix over F_p, ascending.
+
+    The rows ``h`` must hold residues mod p and are overwritten.  A similarity
+    transform first brings the matrix to upper Hessenberg form H: for each
+    column k, any nonzero entry below the subdiagonal is swapped (row and
+    column) to (k+1, k), the entries below it are cleared with its inverse,
+    and the inverse column operation keeps the transform a similarity.
+    The polynomials p_m of the leading m x m blocks of H then follow from
+
+        p_m = (x - h[m-1][m-1]) p_(m-1)
+              - sum_i h[i][m-1] h[i+1][i] ... h[m-1][m-2] p_i,
+
+    where a zero subdiagonal entry ends the product, so O(n^3) in all.
+
+    >>> _charpoly_hessenberg([[0, 1], [1, 0]], 3)
+    [2, 0, 1]
+    """
+    n = len(h)
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        j = k + 1
+        if piv != j:
+            h[j], h[piv] = h[piv], h[j]
+            for row in h:
+                row[j], row[piv] = row[piv], row[j]
+        tail = h[j][k:]
+        inv = pow(tail[0], -1, p)
+        mults = []
+        for i in range(k + 2, n):
+            row_i = h[i]
+            v = row_i[k]
+            if v:
+                f = v * inv % p
+                row_i[k:] = [(x - f * y) % p for x, y in zip(row_i[k:], tail)]
+                mults.append((i, f))
+        if mults:
+            # row_i -= f row_j for each i is undone by col_j += f col_i
+            for row in h:
+                row[j] = (row[j] + sum(f * row[i] for i, f in mults)) % p
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        a = h[m][m]
+        new = [0] + prev
+        for d, c in enumerate(prev):
+            new[d] -= a * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            c = t * h[i][m] % p
+            if c:
+                for d, v in enumerate(polys[i]):
+                    new[d] -= c * v
+        polys.append([v % p for v in new])
+    return polys[n]
+
+
 def char_poly_mod_p(m: IntMatrix, p: int) -> ModPoly:
-    """Characteristic polynomial over F_p, by the same division-free scheme
-    used for the integer characteristic polynomial."""
+    """Characteristic polynomial det(xI - m) over F_p, in O(n^3) field
+    operations by reduction to Hessenberg form; 1 for the 0 x 0 matrix."""
     _check_modulus(p)
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    return ModPoly(p, _trim(_charpoly_berkowitz(_reduced_rows(m, p), mod=p)))
+    return ModPoly(p, tuple(_charpoly_hessenberg(_reduced_rows(m, p), p)))

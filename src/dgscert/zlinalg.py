@@ -1,19 +1,21 @@
 """Exact integer matrix algebra and number-theory utilities.
 
 Everything here is exact: matrices hold arbitrary-precision Python integers,
-determinants come from fraction-free elimination, characteristic polynomials
-from a division-free recurrence (so the same code runs verbatim over Z and
-over F_p), and the Smith normal form of a nonsingular matrix from one
+determinants come from fraction-free elimination, the integer characteristic
+polynomial from a division-free recurrence (``fpalg`` has its own Hessenberg
+route over F_p), and the Smith normal form of a nonsingular matrix from one
 elimination modulo a small multiple of d_1 ... d_(n-1) that the determinant's
 elimination supplies (singular matrices are eliminated over Z).  Each stage
 of that modular elimination pivots on a unit mod the modulus when the active
 block has one and clears its column in one row pass; a stage without a unit
 falls back to gcd division and smallest-entry Euclid steps.
-Factorization is deterministic for a fixed effort level.
+Factorization is deterministic for a fixed effort level; its trial
+division takes one gcd per block of small primes.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -183,18 +185,20 @@ def determinant(m: IntMatrix) -> int:
     return _bareiss(m.to_rows())[0]
 
 
-def _charpoly_berkowitz(rows: list[list[int]], mod: int | None = None) -> list[int]:
-    """Characteristic polynomial of a square matrix, ascending coefficients.
+def _charpoly_berkowitz(rows: list[list[int]]) -> list[int]:
+    """Characteristic polynomial of a square integer matrix, ascending
+    coefficients; [1] for the 0 x 0 matrix.
 
     Division-free (Berkowitz): the polynomial of each leading principal
     submatrix is obtained from the previous one by a Toeplitz product whose
-    entries are walk sums of the new border row and column.  Works over any
-    commutative ring; pass ``mod`` to compute over Z/mod.
+    entries are walk sums of the new border row and column.  O(n^4)
+    integer operations; over F_p, ``fpalg.char_poly_mod_p`` uses the
+    O(n^3) Hessenberg route instead.
     """
     n = len(rows)
+    if n == 0:
+        return [1]
     poly = [1, -rows[0][0]]  # descending coefficients, leading first
-    if mod is not None:
-        poly[1] %= mod
     for m in range(1, n):
         a = rows[m][m]
         r = rows[m][:m]
@@ -203,26 +207,23 @@ def _charpoly_berkowitz(rows: list[list[int]], mod: int | None = None) -> list[i
         seq = [1, -a]
         v = c
         for step in range(m):
-            dot = sum(r[t] * v[t] for t in range(m))
-            seq.append(-dot if mod is None else (-dot) % mod)
+            seq.append(-sum(r[t] * v[t] for t in range(m)))
             if step < m - 1:
-                if mod is None:
-                    v = [sum(sub[i][t] * v[t] for t in range(m)) for i in range(m)]
-                else:
-                    v = [sum(sub[i][t] * v[t] for t in range(m)) % mod for i in range(m)]
+                v = [sum(sub[i][t] * v[t] for t in range(m)) for i in range(m)]
         new = [0] * (m + 2)
         for j, pj in enumerate(poly):
             if pj:
                 top = min(j + len(seq), m + 2)
                 for i in range(j, top):
                     new[i] += seq[i - j] * pj
-        poly = new if mod is None else [x % mod for x in new]
+        poly = new
     poly.reverse()
     return poly
 
 
 def char_poly_int(m: IntMatrix) -> tuple[int, ...]:
-    """Monic characteristic polynomial det(xI - m), ascending coefficients.
+    """Monic characteristic polynomial det(xI - m), ascending coefficients;
+    (1,) for the 0 x 0 matrix.
 
     >>> char_poly_int(IntMatrix.from_rows([[0, 1], [1, 0]]))
     (-1, 0, 1)
@@ -439,7 +440,8 @@ def rational_solve(m: IntMatrix, b: IntMatrix) -> list[list[Fraction]]:
 # number theory
 
 _TRIAL_LIMIT = 10**6
-_small_primes_cache: list[int] | None = None
+_TRIAL_BLOCK = 256
+_small_primes_cache: tuple[array, list[int]] | None = None
 
 # per-composite iteration caps for the rho stage; "default" reliably splits
 # off prime factors up to ~2**40 while keeping the worst case (a composite
@@ -463,7 +465,9 @@ def _odd_part(x: int) -> int:
     return x >> _two_adic_valuation(x)
 
 
-def _small_primes() -> list[int]:
+def _small_primes() -> tuple[array, list[int]]:
+    """The primes below the trial bound and the products of consecutive
+    blocks of ``_TRIAL_BLOCK`` of them, both built on the first call."""
     global _small_primes_cache
     if _small_primes_cache is None:
         sieve = bytearray([1]) * (_TRIAL_LIMIT + 1)
@@ -471,7 +475,10 @@ def _small_primes() -> list[int]:
         for p in range(2, isqrt(_TRIAL_LIMIT) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = bytearray((_TRIAL_LIMIT - p * p) // p + 1)
-        _small_primes_cache = [i for i, v in enumerate(sieve) if v]
+        primes = array("I", [2])
+        primes.extend(compress(range(3, _TRIAL_LIMIT + 1, 2), sieve[3::2]))
+        blocks = [prod(primes[i : i + _TRIAL_BLOCK]) for i in range(0, len(primes), _TRIAL_BLOCK)]
+        _small_primes_cache = primes, blocks
     return _small_primes_cache
 
 
@@ -638,12 +645,20 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
     if n < 1:
         raise ValueError("factor_integer requires n >= 1")
     powers: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
+    primes, blocks = _small_primes()
+    # one gcd per block of primes; only a block that shares a factor with n
+    # is divided prime by prime, and once its first prime squared exceeds
+    # n, what is left of n is 1 or a prime
+    for b, block in enumerate(blocks):
+        lo = b * _TRIAL_BLOCK
+        if primes[lo] ** 2 > n:
             break
-        while n % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            n //= p
+        if gcd(n, block) == 1:
+            continue
+        for p in primes[lo : lo + _TRIAL_BLOCK]:
+            while n % p == 0:
+                powers[p] = powers.get(p, 0) + 1
+                n //= p
     cofactor = 1
     if n > 1:
         stack = [n]

@@ -295,6 +295,15 @@ class TestHarnessFunctions:
         (row,) = run_conjecture_scan([1], samples=3, seed=4)
         assert row.prime_checks == 0 and not row.findings
 
+    def test_run_experiment_rejects_unknown_effort(self):
+        # no sample reaches the factoring ladder, so only the up-front check can refuse it
+        with pytest.raises(ValueError, match="unknown effort level"):
+            run_experiment([8], samples=0, seed=1, effort="bogus")
+
+    def test_scan_rejects_unknown_effort(self):
+        with pytest.raises(ValueError, match="unknown effort level"):
+            run_conjecture_scan([8], samples=0, seed=1, effort="bogus")
+
     def test_time_limit_truncation(self):
         rows, truncated = run_experiment([8, 9, 10], samples=5, seed=1, time_limit=0.0)
         assert truncated and len(rows) < 3

@@ -1,4 +1,5 @@
 import pytest
+import sympy
 
 from dgscert.fixtures import dgs16_graph, mate9_graph
 from dgscert.fpalg import (
@@ -13,7 +14,7 @@ from dgscert.fpalg import (
     sqrt_poly,
     squarefree_decomposition,
 )
-from dgscert.graphcore import Xorshift64Star
+from dgscert.graphcore import Xorshift64Star, derive_seed, random_graph
 from dgscert.zlinalg import IntMatrix, char_poly_int, walk_matrix
 
 
@@ -254,7 +255,27 @@ class TestLinearAlgebraModP:
             rank_p(IntMatrix.identity(2), 15)
 
 
+CHARPOLY_PRIMES = (3, 5, 10**6 + 3, 2**61 - 1)
+
+
+def _sparse_matrix(n: int, seed: int) -> list[list[int]]:
+    """Seeded n x n integer matrix: density varies with the seed, and every
+    third seed zeroes the lower-left block below a split point, so some
+    Hessenberg columns have no pivot below the subdiagonal."""
+    gen = Xorshift64Star(seed)
+    density = 1 + gen.next_u64() % 4  # nonzero with probability density / 5
+    rows = [[gen.next_u64() % 11 - 5 if gen.next_u64() % 5 < density else 0 for _ in range(n)] for _ in range(n)]
+    if seed % 3 == 0 and n >= 2:
+        split = 1 + gen.next_u64() % (n - 1)
+        for i in range(split, n):
+            rows[i][:split] = [0] * split
+    return rows
+
+
 class TestCharPolyModP:
+    def test_empty_matrix(self):
+        assert char_poly_mod_p(IntMatrix(0, 0, ()), 3) == ModPoly.one(3)
+
     def test_k2_mod_3(self, k2):
         m = IntMatrix.from_rows(k2.adjacency())
         assert char_poly_mod_p(m, 3) == P(3, 2, 0, 1)
@@ -276,3 +297,35 @@ class TestCharPolyModP:
         m = IntMatrix.from_rows(dgs16_graph().adjacency())
         f = char_poly_mod_p(m, 6442787651)
         assert f.is_monic() and f.degree == 16
+
+    def test_matches_reduced_integer_charpoly(self):
+        # the integer Berkowitz charpoly reduced mod p is the replaced route
+        for n in range(13):
+            for k in range(12):
+                rows = _sparse_matrix(n, derive_seed(71, n, k))
+                m = IntMatrix.from_rows(rows)
+                coeffs = char_poly_int(m)
+                for p in CHARPOLY_PRIMES:
+                    assert char_poly_mod_p(m, p) == ModPoly.make(p, coeffs), (rows, p)
+
+    def test_block_triangular_without_pivots(self):
+        # upper triangular: no column has a pivot below the subdiagonal
+        m = IntMatrix.from_rows([[0, 4, 1, 2], [0, 2, 0, 3], [0, 0, 2, 1], [0, 0, 0, -1]])
+        for p in CHARPOLY_PRIMES:
+            assert char_poly_mod_p(m, p) == ModPoly.make(p, (0, 4, 0, -3, 1))  # x (x-2)^2 (x+1)
+
+    def test_matches_sympy(self):
+        for n in range(1, 9):
+            for k in range(3):
+                rows = _sparse_matrix(n, derive_seed(73, n, k))
+                expected = [int(c) for c in reversed(sympy.Matrix(rows).charpoly().all_coeffs())]
+                for p in CHARPOLY_PRIMES:
+                    assert char_poly_mod_p(IntMatrix.from_rows(rows), p) == ModPoly.make(p, expected)
+
+    @pytest.mark.parametrize("n", [20, 30, 48])
+    def test_adjacency_matrices(self, n):
+        for k in range(2):
+            m = IntMatrix.from_rows(random_graph(n, derive_seed(79, n, k)).adjacency())
+            coeffs = char_poly_int(m)
+            for p in CHARPOLY_PRIMES:
+                assert char_poly_mod_p(m, p) == ModPoly.make(p, coeffs)

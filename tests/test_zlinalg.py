@@ -1,5 +1,6 @@
+import functools
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
@@ -8,9 +9,12 @@ from dgscert.errors import InvariantViolation
 from dgscert.fixtures import dgs16_graph, mate9_graph
 from dgscert.graphcore import Xorshift64Star, derive_seed, random_graph
 from dgscert.zlinalg import (
+    _TRIAL_BLOCK,
+    _TRIAL_LIMIT,
     IntMatrix,
     _bareiss,
     _eliminate,
+    _small_primes,
     char_poly_int,
     determinant,
     factor_integer,
@@ -69,6 +73,10 @@ class TestDeterminant:
 
 
 class TestCharPolyInt:
+    def test_empty_matrix(self):
+        # det of the 0 x 0 matrix xI - A is 1, as determinant() already says
+        assert char_poly_int(IntMatrix(0, 0, ())) == (1,)
+
     def test_zero_matrix(self):
         assert char_poly_int(IntMatrix.from_rows([[0, 0], [0, 0]])) == (0, 0, 1)
 
@@ -357,6 +365,70 @@ class TestFactorInteger:
             factor_integer(10, effort="turbo")
 
 
+@functools.cache
+def _plain_primes() -> list[int]:
+    sieve = bytearray([1]) * _TRIAL_LIMIT
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(_TRIAL_LIMIT) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, _TRIAL_LIMIT, p)))
+    return [p for p in range(_TRIAL_LIMIT) if sieve[p]]
+
+
+def _plain_trial_division(n: int) -> tuple[dict[int, int], int]:
+    """Per-prime trial division below the bound: (small prime powers, rest)."""
+    powers = {}
+    for p in _plain_primes():
+        if p * p > n:
+            break
+        while n % p == 0:
+            powers[p] = powers.get(p, 0) + 1
+            n //= p
+    if 1 < n < _TRIAL_LIMIT:  # the loop stopped early on a prime below the bound
+        powers[n] = 1
+        n = 1
+    return powers, n
+
+
+class TestBlockTrialDivision:
+    """Trial division by blocks of primes against a per-prime loop."""
+
+    def test_prime_table(self):
+        primes, blocks = _small_primes()
+        assert len(primes) == 78498 and primes[0] == 2 and primes[-1] == 999983
+        assert len(blocks) == -(-len(primes) // _TRIAL_BLOCK)
+        for b in (0, 1, len(blocks) - 1):
+            assert blocks[b] == prod(primes[b * _TRIAL_BLOCK : (b + 1) * _TRIAL_BLOCK])
+
+    @staticmethod
+    def _check(n):
+        small, rest = _plain_trial_division(n)
+        fr = factor_integer(n, effort="low")
+        assert {p: e for p, e in fr.prime_powers if p < _TRIAL_LIMIT} == small
+        assert fr.value() == n
+        assert prod(p**e for p, e in fr.prime_powers if p >= _TRIAL_LIMIT) * fr.cofactor == rest
+
+    def test_edges(self):
+        primes, _ = _small_primes()
+        cases = [1, 2, 999983, 1000003, 999983**2, 999983 * 1000003]
+        for b in (1, 2, 150, 306):
+            last, first = primes[b * _TRIAL_BLOCK - 1], primes[b * _TRIAL_BLOCK]
+            cases += [last * first, last**2 * first**3 * (10**9 + 7)]
+        cases += [10**12 + d for d in range(-12, 13)]
+        cases += [(2 * 3 * 5) ** 40, 2**100 * 3**60 * 5**30 * 999983]
+        for n in cases:
+            self._check(n)
+
+    def test_seeded_values(self):
+        gen = Xorshift64Star(61)
+        for i in range(37):
+            bits = 20 + 5 * i
+            n = 1
+            while n.bit_length() < bits:
+                n = n << 64 | gen.next_u64()
+            self._check(n >> (n.bit_length() - bits))
+
+
 class TestIsPrime:
     def test_small_range_matches_sympy(self):
         for n in range(2000):
@@ -426,8 +498,12 @@ class TestIntMatrix:
 def test_doctests():
     import doctest
 
-    import dgscert.zlinalg as mod
+    import dgscert.fpalg
+    import dgscert.zlinalg
 
-    results = doctest.testmod(mod)
+    results = doctest.testmod(dgscert.zlinalg)
     # char_poly_int and _eliminate each carry an example
     assert results.failed == 0 and results.attempted >= 2
+    results = doctest.testmod(dgscert.fpalg)
+    # _charpoly_hessenberg carries one
+    assert results.failed == 0 and results.attempted >= 1
