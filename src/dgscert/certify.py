@@ -9,8 +9,12 @@ silently pass as squarefree.
 
 from __future__ import annotations
 
+import functools
+import json
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from importlib import resources
 
 from . import specinv
 from .errors import InvariantViolation
@@ -30,20 +34,16 @@ from .zlinalg import (
 )
 
 STATUS_DGS_BY_MAIN = "DGS_BY_MAIN"
-STATUS_DGS_BY_SQF = "DGS_BY_SQF"
 STATUS_NOT_CONTROLLABLE = "NOT_CONTROLLABLE"
 STATUS_CONDITION_FAILS = "CONDITION_FAILS"
 STATUS_FACTORIZATION_INCOMPLETE = "FACTORIZATION_INCOMPLETE"
 
 RULE_MAIN = "squarefree-dn-with-matching-degrees"
-RULE_SQF = "odd-squarefree-half-determinant"
 
 SQF_PASS = "PASS"
 SQF_FAIL = "FAIL"
 SQF_UNKNOWN = "UNKNOWN"
 SQF_NOT_RUN = "NOT_RUN"
-
-_CERTIFYING = (STATUS_DGS_BY_MAIN, STATUS_DGS_BY_SQF)
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class DgsVerdict:
 
     @property
     def certified(self) -> bool:
-        return self.status in _CERTIFYING
+        return self.status == STATUS_DGS_BY_MAIN
 
     def dn_squarefree(self) -> bool | None:
         if self.dn_factorization is None:
@@ -96,76 +96,60 @@ def check_controllable(g: Graph) -> bool:
     return determinant(walk_matrix(g)) != 0
 
 
-_ALL_STATUSES = (
-    STATUS_DGS_BY_MAIN,
-    STATUS_DGS_BY_SQF,
-    STATUS_NOT_CONTROLLABLE,
-    STATUS_CONDITION_FAILS,
-    STATUS_FACTORIZATION_INCOMPLETE,
-)
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean", type(None): "null"}
 
-_POLY_KEYS = ("phi", "sfp_phi", "sqrt_phi", "m_p", "restricted")
+
+@functools.cache
+def _verdict_schema() -> dict:
+    return json.loads(resources.files("dgscert").joinpath("data/verdict_schema.json").read_text(encoding="utf-8"))
+
+
+def _check_schema(x, schema: dict, path: str = "") -> None:
+    """Check ``x`` against ``schema``, a JSON Schema that uses only the
+    keywords of data/verdict_schema.json.  A pattern must match the whole
+    string, and a bool is not an integer.
+
+    >>> _check_schema("12\\n", {"pattern": "^[0-9]+$"})
+    Traceback (most recent call last):
+    ...
+    ValueError: verdict schema violation: the verdict does not match ^[0-9]+$
+    """
+
+    def fail(msg: str):
+        raise ValueError(f"verdict schema violation: {path or 'the verdict'} {msg}")
+
+    kind = _JSON_TYPES.get(type(x))
+    types = schema.get("type")
+    if types is not None and kind not in (types if isinstance(types, list) else [types]):
+        fail(f"is not of type {types}")
+    if "enum" in schema and x not in schema["enum"]:
+        fail(f"is not one of {schema['enum']}")
+    if kind == "string" and "pattern" in schema and not re.fullmatch(schema["pattern"], x):
+        fail(f"does not match {schema['pattern']}")
+    if kind == "integer" and not schema.get("minimum", x) <= x <= schema.get("maximum", x):
+        fail("is out of range")
+    if kind == "array":
+        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
+            fail("has the wrong length")
+        prefix = schema.get("prefixItems", [])
+        for i, item in enumerate(x):
+            _check_schema(item, prefix[i] if i < len(prefix) else schema.get("items", {}), f"{path}[{i}]")
+    if kind == "object":
+        props = schema.get("properties", {})
+        if missing := [k for k in schema.get("required", []) if k not in x]:
+            fail(f"lacks keys {missing}")
+        if schema.get("additionalProperties") is False and (extra := [k for k in x if k not in props]):
+            fail(f"has unknown keys {extra}")
+        for key, sub in props.items():
+            if key in x:
+                _check_schema(x[key], sub, f"{path}.{key}" if path else key)
 
 
 def validate_verdict_dict(data: dict) -> None:
-    """Structural check of a serialized verdict against the published schema
-    (data/verdict_schema.json).  Raises ValueError on the first mismatch."""
-
-    def fail(msg: str):
-        raise ValueError(f"verdict schema violation: {msg}")
-
-    def decimal(x, signed: bool = False) -> bool:
-        if signed and isinstance(x, str):
-            x = x.removeprefix("-")
-        return isinstance(x, str) and x.isascii() and x.isdigit()
-
-    def integer(x, minimum: int) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool) and x >= minimum
-
-    if not isinstance(data, dict):
-        fail("a verdict must be a JSON object")
-    expected_keys = {
-        "status", "rule", "n", "det_W", "snf", "dn",
-        "dn_factors", "dn_cofactor", "primes", "failing_prime", "notes",
-    }
-    if set(data) != expected_keys:
-        fail(f"key set {sorted(data)} != {sorted(expected_keys)}")
-    if data["status"] not in _ALL_STATUSES:
-        fail(f"unknown status {data['status']!r}")
-    if data["rule"] is not None and not isinstance(data["rule"], str):
-        fail("rule must be a string or null")
-    if not integer(data["n"], 1) or data["n"] > 64:
-        fail("n out of range")
-    for key, signed in (("det_W", True), ("dn", False)):
-        if not decimal(data[key], signed):
-            fail(f"{key} must be a decimal string")
-    if not isinstance(data["snf"], list) or not all(decimal(d) for d in data["snf"]):
-        fail("snf must be a list of decimal strings")
-    if data["dn_factors"] is not None:
-        if not isinstance(data["dn_factors"], list):
-            fail("dn_factors must be a list or null")
-        for item in data["dn_factors"]:
-            if not (isinstance(item, list) and len(item) == 2 and decimal(item[0]) and integer(item[1], 1)):
-                fail(f"bad dn_factors entry {item!r}")
-    if data["dn_cofactor"] is not None and not decimal(data["dn_cofactor"]):
-        fail("dn_cofactor must be a decimal string or null")
-    if not isinstance(data["primes"], list):
-        fail("primes must be a list")
-    for rep in data["primes"]:
-        if not isinstance(rep, dict):
-            fail(f"bad per-prime entry {rep!r}")
-        if set(rep) != {"p", "nullity", *_POLY_KEYS, "eq4_holds"}:
-            fail(f"bad per-prime key set {sorted(rep)}")
-        if not decimal(rep["p"]) or not integer(rep["nullity"], 0):
-            fail("bad per-prime types")
-        if any(not isinstance(rep[k], str) for k in _POLY_KEYS):
-            fail("polynomials must be display strings")
-        if not isinstance(rep["eq4_holds"], bool):
-            fail("eq4_holds must be boolean")
-    if data["failing_prime"] is not None and not decimal(data["failing_prime"]):
-        fail("failing_prime must be a decimal string or null")
-    if not isinstance(data["notes"], str):
-        fail("notes must be a string")
+    """Check a serialized verdict against the shipped schema,
+    data/verdict_schema.json, read on the first call.  Raises ValueError on
+    the first mismatch."""
+    _check_schema(data, _verdict_schema())
 
 
 def _expected_sqf_shape(n: int, odd_det: int) -> tuple[int, ...]:

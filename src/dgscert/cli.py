@@ -16,16 +16,15 @@ of the input).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import sys
 
 from . import cospec
 from .certify import _prime_report, certify_dgs
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _on_graph
 from .experiments import run_conjecture_scan, run_experiment
-from .graphcore import Graph, Graph6Error, emit_graph6, parse_adjacency, parse_graph6
+from .graphcore import Graph, Graph6Error, parse_adjacency, parse_graph6
 from .zlinalg import smith_normal_form, walk_matrix
 
 EXIT_OK = 0
@@ -69,17 +68,6 @@ def read_graphs(path: str, fmt: str = "auto") -> list[Graph]:
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
-
-
-@contextlib.contextmanager
-def _on_graph(g: Graph):
-    """Tag an invariant violation raised inside the block with g's graph6."""
-    try:
-        yield
-    except InvariantViolation as exc:
-        if exc.graph6 is None:
-            exc.graph6 = emit_graph6(g)
-        raise
 
 
 def _cmd_certify(args) -> int:
@@ -132,9 +120,8 @@ def _cmd_invariants(args) -> int:
         if args.json:
             print(json.dumps({"n": g.n, **rep.to_json_dict()}))
         else:
-            d = rep.to_json_dict()
-            for key in ("p", "nullity", "phi", "sfp_phi", "sqrt_phi", "m_p", "restricted", "eq4_holds"):
-                print(f"{key}: {d[key]}")
+            for key, value in rep.to_json_dict().items():
+                print(f"{key}: {value}")
     return EXIT_OK
 
 
@@ -230,9 +217,8 @@ def _cmd_conjecture_scan(args) -> int:
 # parser
 
 
-def _add_io_flags(sub, single_input: bool = True) -> None:
-    if single_input:
-        sub.add_argument("input", help="input file ('-' for stdin)")
+def _add_io_flags(sub) -> None:
+    sub.add_argument("input", help="input file ('-' for stdin)")
     sub.add_argument("--format", choices=("auto", "graph6", "adj"), default="auto")
     sub.add_argument("--json", action="store_true", help="JSON output")
 

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from .certify import _prime_report
 from .errors import InvariantViolation
-from .graphcore import Graph, emit_graph6, parse_graph6
+from .graphcore import Graph, _pair_order, emit_graph6, parse_graph6
 from .zlinalg import (
     IntMatrix,
     _odd_part,
@@ -172,13 +172,9 @@ def parse_pair_fixture(text: str) -> tuple[Graph, Graph, RationalOrthogonal]:
 # exhaustive enumeration oracle
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 def _code_to_graph(code: int, n: int) -> Graph:
     rows = [0] * n
-    for b, (i, j) in enumerate(_pairs(n)):
+    for b, (i, j) in enumerate(_pair_order(n)):
         if code >> b & 1:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
@@ -187,7 +183,7 @@ def _code_to_graph(code: int, n: int) -> Graph:
 
 def _perm_bit_images(n: int) -> list[tuple[int, ...]]:
     """For every vertex permutation, the image of each pair bit as a mask."""
-    pairs = _pairs(n)
+    pairs = list(_pair_order(n))
     mask = {pair: 1 << b for b, pair in enumerate(pairs)}
     return [
         tuple(mask[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pairs)

@@ -20,7 +20,7 @@ from .certify import (
     _prime_report,
     certify_dgs,
 )
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _on_graph
 from .fpalg import MODULUS_CAP
 from .graphcore import derive_seed, emit_graph6, random_graph
 from .zlinalg import _check_effort, _odd_part, factor_integer, smith_normal_form, walk_matrix
@@ -72,7 +72,9 @@ class ExperimentRow:
 
 def _certify_sample(args: tuple[int, int, str]) -> tuple[bool, bool, str]:
     n, seed, effort = args
-    verdict = certify_dgs(random_graph(n, seed), effort)
+    g = random_graph(n, seed)
+    with _on_graph(g):
+        verdict = certify_dgs(g, effort)
     return bool(verdict.dn_squarefree()), verdict.sqf_check == SQF_PASS, verdict.status
 
 
@@ -155,22 +157,23 @@ def _scan_sample(args: tuple[int, int, str]) -> tuple[int, int, int, list[ScanFi
     """(skipped, prime checks, degree matches, findings) for one graph."""
     n, seed, effort = args
     g = random_graph(n, seed)
-    snf = smith_normal_form(walk_matrix(g))
-    if snf.dn == 0:
-        return 1, 0, 0, []
-    checks = matches = 0
-    findings = []
-    for p in factor_integer(_odd_part(snf.dn), effort).primes():
-        if p >= MODULUS_CAP:
-            continue
-        rep = _prime_report(g, snf, p)  # proven relations are checked inside
-        deg_sqrt = rep.sqrt_phi.degree
-        divides = rep.sqrt_phi.divides(rep.restricted_charpoly)
-        checks += 1
-        matches += deg_sqrt == rep.nullity
-        if deg_sqrt > rep.nullity or not divides:
-            findings.append(ScanFinding(emit_graph6(g), p, rep.nullity, deg_sqrt, divides))
-    return 0, checks, matches, findings
+    with _on_graph(g):
+        snf = smith_normal_form(walk_matrix(g))
+        if snf.dn == 0:
+            return 1, 0, 0, []
+        checks = matches = 0
+        findings = []
+        for p in factor_integer(_odd_part(snf.dn), effort).primes():
+            if p >= MODULUS_CAP:
+                continue
+            rep = _prime_report(g, snf, p)  # proven relations are checked inside
+            deg_sqrt = rep.sqrt_phi.degree
+            divides = rep.sqrt_phi.divides(rep.restricted_charpoly)
+            checks += 1
+            matches += deg_sqrt == rep.nullity
+            if deg_sqrt > rep.nullity or not divides:
+                findings.append(ScanFinding(emit_graph6(g), p, rep.nullity, deg_sqrt, divides))
+        return 0, checks, matches, findings
 
 
 def run_conjecture_scan(n_list, samples: int, seed: int, effort: str = "default", jobs: int = 1) -> list[ScanRow]:

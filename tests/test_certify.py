@@ -174,7 +174,11 @@ class TestVerdictJson:
         with pytest.raises(ValueError):
             validate_verdict_dict(bad)
         # ints where the schema wants decimal strings, a boolean n, and the
-        # schema's minimum rules: exponent >= 1, integer nullity >= 0
+        # schema's minimum rules: exponent >= 1, integer nullity >= 0; then
+        # one case per keyword of the schema checker: the status no verdict
+        # carries, n's range, unknown keys, the [prime, exponent] length,
+        # whole-string patterns (a "$" also matches before a final newline)
+        # and bool, which is not a JSON integer
         for path, value in (
             (("dn_cofactor",), 1),
             (("failing_prime",), 3),
@@ -188,6 +192,18 @@ class TestVerdictJson:
             (("primes",), None),
             (("primes", 0), "3"),
             (("dn_factors",), "2 1"),
+            (("status",), "DGS_BY_SQF"),
+            (("n",), 0),
+            (("n",), 65),
+            (("extra",), None),
+            (("primes", 0, "extra"), None),
+            (("dn_factors", 0), ["2"]),
+            (("dn_factors", 0), ["2", 1, 1]),
+            (("snf", 0), "-3"),
+            (("det_W",), "-"),
+            (("dn",), "12\n"),
+            (("primes", 0, "nullity"), True),
+            (("primes", 0, "eq4_holds"), 1),
         ):
             bad = json.loads(json.dumps(d))
             target = bad

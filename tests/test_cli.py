@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dgscert
-from dgscert import cli, cospec, fixtures, specinv
+from dgscert import cli, cospec, experiments, fixtures, specinv
 from dgscert.certify import (
     STATUS_FACTORIZATION_INCOMPLETE,
     STATUS_NOT_CONTROLLABLE,
@@ -135,6 +136,23 @@ class TestInvariantViolationExit:
         code = main(["invariants", str(fixture_files / "dgs16.g6"), "-p", "3"])
         (line,) = capsys.readouterr().err.splitlines()
         assert code == EXIT_INVARIANT and "disagrees with the invariant factors at p=3" in line
+
+    @pytest.mark.parametrize(
+        "command,target", [("table1", "certify_dgs"), ("conjecture-scan", "smith_normal_form")]
+    )
+    def test_corpus_commands_name_the_sample(self, capsys, monkeypatch, command, target):
+        # the breach is raised in the per-sample worker, which tags it with the graph
+        monkeypatch.setattr(experiments, target, self._broken)
+        code = main([command, "--n-list", "10", "--samples", "3", "--seed", "4", "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVARIANT and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.endswith(f"(graph {emit_graph6(random_graph(10, derive_seed(4, 10, 0)))})")
+
+    def test_graph_tag_survives_the_worker_pickle(self):
+        exc = InvariantViolation("divisibility chain broke")
+        exc.graph6 = "A_"
+        assert pickle.loads(pickle.dumps(exc)).graph6 == "A_"
 
 
 class TestInvariantsCommand:

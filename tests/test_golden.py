@@ -18,7 +18,7 @@ import io
 import json
 from pathlib import Path
 
-from dgscert.certify import certify_dgs
+from dgscert.certify import certify_dgs, validate_verdict_dict
 from dgscert.cli import main
 from dgscert.cospec import ENUMERATION_MAX_N, enumerate_generalized_cospectral_classes
 from dgscert.fixtures import dgs16_graph, mate9_graph
@@ -117,6 +117,11 @@ def _assert_same_lines(actual: list[str], path: Path) -> None:
 
 def test_verdicts_byte_identical():
     _assert_same_lines(verdict_lines(), VERDICTS)
+
+
+def test_golden_verdicts_match_the_schema():
+    for line in VERDICTS.read_text(encoding="utf-8").splitlines():
+        validate_verdict_dict(json.loads(line))
 
 
 def test_phi_reports_byte_identical():

@@ -498,6 +498,7 @@ class TestIntMatrix:
 def test_doctests():
     import doctest
 
+    import dgscert.certify
     import dgscert.fpalg
     import dgscert.zlinalg
 
@@ -506,4 +507,7 @@ def test_doctests():
     assert results.failed == 0 and results.attempted >= 2
     results = doctest.testmod(dgscert.fpalg)
     # _charpoly_hessenberg carries one
+    assert results.failed == 0 and results.attempted >= 1
+    results = doctest.testmod(dgscert.certify)
+    # _check_schema carries one
     assert results.failed == 0 and results.attempted >= 1
