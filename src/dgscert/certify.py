@@ -76,13 +76,16 @@ class DgsVerdict:
 
     def to_json_dict(self) -> dict:
         fact = self.dn_factorization
+        # one string per distinct invariant factor, most of which are 1 or 2:
+        # a corpus run may hold thousands of these dicts
+        text = {d: str(d) for d in set(self.snf.factors)}
         return {
             "status": self.status,
             "rule": self.rule,
             "n": self.n,
             "det_W": str(self.det_w),
-            "snf": [str(d) for d in self.snf.factors],
-            "dn": str(self.dn),
+            "snf": [text[d] for d in self.snf.factors],
+            "dn": text[self.dn],
             "dn_factors": None if fact is None else [[str(p), e] for p, e in fact.prime_powers],
             "dn_cofactor": None if fact is None else str(fact.cofactor),
             "primes": [rep.to_json_dict() for rep in self.per_prime],

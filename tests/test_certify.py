@@ -159,6 +159,14 @@ class TestVerdictJson:
         assert d["dn"] == str(2 * B_FIXTURE)
         assert isinstance(d["det_W"], str)
 
+    def test_equal_invariant_factors_share_one_string(self):
+        # most of the n invariant factors are 1 or 2; a run that keeps many
+        # verdicts holds one string per distinct value of each
+        d = certify_dgs(dgs16_graph()).to_json_dict()
+        assert len(d["snf"]) == 16 and len(set(d["snf"])) < 16
+        assert len({id(s) for s in d["snf"]}) == len(set(d["snf"]))
+        assert d["dn"] is d["snf"][-1]
+
     def test_validator_rejects_corruption(self):
         d = certify_dgs(mate9_graph()).to_json_dict()
         bad = dict(d)

@@ -13,6 +13,7 @@ from dgscert.zlinalg import (
     _TRIAL_LIMIT,
     IntMatrix,
     _bareiss,
+    _brent_rho,
     _eliminate,
     _small_primes,
     char_poly_int,
@@ -395,10 +396,10 @@ class TestBlockTrialDivision:
 
     def test_prime_table(self):
         primes, blocks = _small_primes()
-        assert len(primes) == 78498 and primes[0] == 2 and primes[-1] == 999983
-        assert len(blocks) == -(-len(primes) // _TRIAL_BLOCK)
-        for b in (0, 1, len(blocks) - 1):
-            assert blocks[b] == prod(primes[b * _TRIAL_BLOCK : (b + 1) * _TRIAL_BLOCK])
+        plain = _plain_primes()
+        assert len(primes) == 78498 and primes[-1] == 999983
+        assert list(primes) == plain
+        assert blocks == [prod(plain[i : i + _TRIAL_BLOCK]) for i in range(0, len(plain), _TRIAL_BLOCK)]
 
     @staticmethod
     def _check(n):
@@ -427,6 +428,105 @@ class TestBlockTrialDivision:
             while n.bit_length() < bits:
                 n = n << 64 | gen.next_u64()
             self._check(n >> (n.bit_length() - bits))
+
+
+def _brent_rho_with_partial_rounds(n: int, c: int, budget: int) -> tuple[int | None, int]:
+    """The earlier ``_brent_rho``, kept as an oracle: it clamps the comparisons
+    of the last round to the budget but still runs that round's advance."""
+    y, r, q = 2, 1, 1
+    g = 1
+    used = 0
+    x = ys = y
+    while g == 1 and used < budget:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1 and used < budget:
+            ys = y
+            span = min(256, r - k, budget - used)
+            for _ in range(span):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = gcd(q, n)
+            k += span
+            used += span
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(x - ys, n)
+    if 1 < g < n:
+        return g, used
+    return None, used
+
+
+def _seeded_prime(gen: Xorshift64Star, bits: int) -> int:
+    """The least prime above a seeded odd number of the given bit length,
+    when that prime keeps the length (else a fresh draw)."""
+    while True:
+        x = gen.next_u64() >> (64 - bits) | 1 << (bits - 1) | 1
+        while not is_prime(x):
+            x += 2
+        if x.bit_length() == bits:
+            return x
+
+
+class _CountingModulus(int):
+    """An int that counts the reductions ``a % self`` made with it."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        _CountingModulus.reductions += 1
+        return int.__rmod__(self, other)
+
+
+# the rho-capped cofactor of the n = 20 pool graph k = 67: a 62-bit prime times
+# a 77-bit prime, out of reach of any budget below
+K67_COFACTOR = 404421322713090460612793093393850515637787
+
+
+class TestBrentRhoBudget:
+    """Rho runs only the Brent rounds whose comparisons all fit the budget."""
+
+    @pytest.mark.parametrize(
+        "budget, reductions",
+        [(0, 0), (1, 3), (2, 3), (3, 9), (1023, 3069), (1024, 3069), (2046, 3069), (2047, 6141)],
+    )
+    def test_work_stays_within_the_budget(self, budget, reductions):
+        # a round of r costs r advance steps plus r comparisons of two
+        # reductions each; rounds 1, 2, ..., 512 make 1023 comparisons and
+        # 3069 reductions, and the round of 1024 does not fit a budget of
+        # 1024 (the earlier routine ran its 1024 advance steps for one pair)
+        _CountingModulus.reductions = 0
+        assert _brent_rho(_CountingModulus(K67_COFACTOR), 1, budget) == (None, budget)
+        assert _CountingModulus.reductions == reductions <= 3 * budget
+
+    def test_matches_the_earlier_routine_on_whole_rounds(self):
+        gen = Xorshift64Star(73)
+        seen = {"split": 0, "partial round only": 0, "none": 0}
+        for i in range(40):
+            p, q = (_seeded_prime(gen, 16 + (i + j) % 17) for j in (0, 7))
+            if p == q:
+                continue
+            n = p * q
+            for budget in (1, 2, 100, 255, 256, 1023, 1024, 3000, 4095):
+                # rounds 1, 2, ..., 2^(m-1) make 2^m - 1 comparisons; at that
+                # budget the earlier routine runs whole rounds only
+                whole = (1 << ((budget + 1).bit_length() - 1)) - 1
+                new = _brent_rho(n, 1, budget)
+                ref = _brent_rho_with_partial_rounds(n, 1, whole)
+                assert new == ref or (new, ref) == ((None, budget), (None, whole))
+                old = _brent_rho_with_partial_rounds(n, 1, budget)
+                if old[0] is not None and old[1] <= whole:
+                    assert new == old
+                    seen["split"] += 1
+                else:
+                    assert new[0] is None
+                    seen["partial round only" if old[0] is not None else "none"] += 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestIsPrime:
@@ -503,8 +603,8 @@ def test_doctests():
     import dgscert.zlinalg
 
     results = doctest.testmod(dgscert.zlinalg)
-    # char_poly_int and _eliminate each carry an example
-    assert results.failed == 0 and results.attempted >= 2
+    # char_poly_int and _eliminate carry one example each, _brent_rho three
+    assert results.failed == 0 and results.attempted >= 5
     results = doctest.testmod(dgscert.fpalg)
     # _charpoly_hessenberg carries one
     assert results.failed == 0 and results.attempted >= 1
