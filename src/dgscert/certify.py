@@ -18,7 +18,6 @@ from importlib import resources
 
 from . import specinv
 from .errors import InvariantViolation
-from .fpalg import MODULUS_CAP
 from .graphcore import Graph
 from .specinv import PhiReport
 from .zlinalg import (
@@ -27,7 +26,6 @@ from .zlinalg import (
     _check_effort,
     _odd_part,
     _two_adic_valuation,
-    determinant,
     factor_integer,
     smith_normal_form,
     walk_matrix,
@@ -92,11 +90,6 @@ class DgsVerdict:
             "failing_prime": None if self.failing_prime is None else str(self.failing_prime),
             "notes": "; ".join(self.notes),
         }
-
-
-def check_controllable(g: Graph) -> bool:
-    """True iff the walk matrix is nonsingular."""
-    return determinant(walk_matrix(g)) != 0
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean", type(None): "null"}
@@ -285,12 +278,6 @@ def certify_dgs(g: Graph, effort: str = "default", autopass_report_limit: int | 
     autopass_reported = 0
     for p in odd_fact.primes():
         nullity_snf = sum(1 for d in snf.factors if d % p == 0)
-        if p >= MODULUS_CAP:
-            if nullity_snf == 1:
-                notes.append(f"prime {p} exceeds the modulus cap; nullity 1 passes without a report")
-                continue
-            notes.append(f"prime {p} exceeds the modulus cap and needs the degree check; undecidable")
-            return finish(STATUS_FACTORIZATION_INCOMPLETE, None, reports, p)
         if nullity_snf == 1 and autopass_report_limit is not None and autopass_reported >= autopass_report_limit:
             notes.append(f"prime {p}: nullity 1 passes automatically (report omitted)")
             continue

@@ -104,9 +104,6 @@ class RationalOrthogonal:
     def transpose(self) -> "RationalOrthogonal":
         return RationalOrthogonal(self.n, tuple(zip(*self.numerators)), self.level)
 
-    def is_permutation(self) -> bool:
-        return self.level == 1
-
 
 def verify_regular_orthogonal(q: RationalOrthogonal, g_first: Graph, g_second: Graph) -> bool:
     """True iff Q^T A(first) Q = A(second), exact.  Q^T Q = I and Q e = e need

@@ -21,7 +21,6 @@ from .certify import (
     certify_dgs,
 )
 from .errors import InvariantViolation, _on_graph
-from .fpalg import MODULUS_CAP
 from .graphcore import derive_seed, emit_graph6, random_graph
 from .zlinalg import _check_effort, _odd_part, factor_integer, smith_normal_form, walk_matrix
 
@@ -164,8 +163,6 @@ def _scan_sample(args: tuple[int, int, str]) -> tuple[int, int, int, list[ScanFi
         checks = matches = 0
         findings = []
         for p in factor_integer(_odd_part(snf.dn), effort).primes():
-            if p >= MODULUS_CAP:
-                continue
             rep = _prime_report(g, snf, p)  # proven relations are checked inside
             deg_sqrt = rep.sqrt_phi.degree
             divides = rep.sqrt_phi.divides(rep.restricted_charpoly)

@@ -15,8 +15,8 @@ Two fixtures are provided:
 
 from __future__ import annotations
 
-from .cospec import RationalOrthogonal, emit_pair_fixture
-from .graphcore import Graph, emit_adjacency, emit_graph6
+from .cospec import RationalOrthogonal
+from .graphcore import Graph
 
 DGS16_ADJACENCY = (
     (0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0),
@@ -83,23 +83,3 @@ def mate9_mate_graph() -> Graph:
     adjacency matrix, so an incoherent fixture cannot load.
     """
     return _mate9_q().conjugate(mate9_graph())
-
-
-def write_fixture_files(directory) -> list[str]:
-    """Materialize the fixtures as CLI-ready input files; returns the paths."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    files = {
-        "dgs16.g6": emit_graph6(dgs16_graph()) + "\n",
-        "mate9.g6": emit_graph6(mate9_graph()) + "\n",
-        "mate9.adj": emit_adjacency(mate9_graph()),
-        "mate9_pair.txt": emit_pair_fixture(mate9_graph(), mate9_mate_graph(), _mate9_q()),
-    }
-    written = []
-    for name, content in files.items():
-        path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        written.append(path)
-    return written

@@ -1,10 +1,12 @@
-"""Univariate polynomials and linear algebra over F_p for odd primes p.
+"""Univariate polynomials over F_p for odd primes p, and the characteristic
+polynomial of a matrix over F_p.
 
 Polynomials are dense coefficient tuples in ascending order (index =
 degree), always canonical: residues in [0, p) and no zero leading
 coefficient.  Degrees never exceed the 64-vertex cap, so naive arithmetic
-is the right tool.  The modulus is restricted to odd primes below 2**62;
-the 2-adic side of the theory is handled by integer arithmetic elsewhere.
+is the right tool.  The modulus may be any odd prime: Python integers are
+unbounded, so a 200-bit prime costs only the wider arithmetic.  The 2-adic
+side of the theory is handled by integer arithmetic elsewhere.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from dataclasses import dataclass
 
 from .zlinalg import IntMatrix, is_prime
 
-MODULUS_CAP = 1 << 62
 
-
-@functools.lru_cache(maxsize=None)
+# a corpus run checks a few primes per graph; the cache need only hold the
+# primes of the graphs in flight
+@functools.lru_cache(maxsize=1024)
 def _check_modulus(p: int) -> None:
-    if p < 3 or p % 2 == 0 or p >= MODULUS_CAP or not is_prime(p):
-        raise ValueError(f"modulus {p} is not an odd prime below 2**62")
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"modulus {p} is not an odd prime")
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -284,69 +286,11 @@ def sqrt_poly(f: ModPoly) -> ModPoly:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_p
-
-
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """In-place reduced row echelon form mod p; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(vi - f * vr) % p for vi, vr in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+# characteristic polynomial over F_p
 
 
 def _reduced_rows(m: IntMatrix, p: int) -> list[list[int]]:
     return [[v % p for v in row] for row in m.to_rows()]
-
-
-def rank_p(m: IntMatrix, p: int) -> int:
-    """Rank of m over F_p (Gaussian elimination on the reduced matrix)."""
-    _check_modulus(p)
-    _, pivots = _rref(_reduced_rows(m, p), p)
-    return len(pivots)
-
-
-def nullity_p(m: IntMatrix, p: int) -> int:
-    if not m.is_square():
-        raise ValueError("nullity_p defined here for square matrices only")
-    return m.cols - rank_p(m, p)
-
-
-def nullspace_basis_p(m: IntMatrix, p: int) -> list[tuple[int, ...]]:
-    """Reduced-echelon basis of the right nullspace of m over F_p.
-
-    Basis vector k has a 1 in the k-th free column and zeros in the other
-    free columns, which makes coordinate extraction against this basis a
-    plain lookup.
-    """
-    _check_modulus(p)
-    rows, pivots = _rref(_reduced_rows(m, p), p)
-    n = m.cols
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * n
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-rows[r][f]) % p
-        basis.append(tuple(vec))
-    return basis
 
 
 def _charpoly_hessenberg(h: list[list[int]], p: int) -> list[int]:

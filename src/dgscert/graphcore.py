@@ -121,9 +121,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
-    def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
-
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
@@ -134,17 +131,6 @@ class Graph:
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         return Graph(self.n, tuple((full ^ r ^ (1 << i)) for i, r in enumerate(self.rows)))
-
-    def permuted(self, perm) -> "Graph":
-        """Relabel vertices: vertex i of the result is vertex perm[i] of self."""
-        n = self.n
-        rows = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.has_edge(perm[i], perm[j]):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return Graph(n, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:

@@ -2,10 +2,12 @@
 the minimal annihilator of the all-ones vector, the characteristic polynomial
 of A restricted to the nullspace of W^T, and the reduced walk matrix.
 
-A (graph, prime) pair costs one walk e, Ae, ..., A^n e reduced mod p and two
-eliminations over F_p: the reduced echelon form of [W | A^n e] gives the rank
-of W and the minimal annihilator, a nullspace basis of W^T the restricted
-characteristic polynomial.  A + J is never formed (see ``phi_p``).
+A (graph, prime) pair costs one walk e, Ae, ..., A^n e reduced mod p and one
+elimination over F_p (``_eliminate_walk``): it gives the rank of W, the
+minimal annihilator of e and a nullspace basis of W^T, from which the
+restricted characteristic polynomial follows.  The characteristic polynomial
+of A comes from an independent route, a Hessenberg reduction.  A + J is never
+formed (see ``phi_p``).
 
 The relationships between these quantities (degree bounds, divisibility
 chains, factorization identities) are proven facts, so ``phi_report`` checks
@@ -32,16 +34,57 @@ def _walk_mod_p(adj: list[list[int]], p: int) -> list[list[int]]:
     return walk
 
 
-def _rank_and_main(walk: list[list[int]], p: int) -> tuple[int, ModPoly]:
-    """Rank r of W mod p and the minimal annihilator of e from the reduced
-    echelon form of [W | A^n e]: once a walk vector depends on the earlier
-    ones every later one does, so the pivots are exactly columns 0..r-1 and
-    column r holds the coordinates of A^r e in e, ..., A^(r-1) e."""
-    rows, pivots = fpalg._rref([list(row) for row in zip(*walk)], p)
-    r = len(pivots)
-    if pivots != list(range(r)):
-        raise InvariantViolation(f"walk-matrix pivots are not the leading {r} columns at p={p}")
-    return r, ModPoly.make(p, [-rows[i][r] for i in range(r)] + [1])
+def _eliminate_walk(walk: list[list[int]], p: int) -> tuple[int, ModPoly, list[tuple[int, ...]]]:
+    """Rank r of W mod p, the minimal annihilator of e and the reduced-echelon
+    basis of the nullspace of W^T, from one forward elimination of the walk
+    vectors e, Ae, ... taken in order.
+
+    Each echelon row carries its coordinates in the walk vectors.  Once a walk
+    vector depends on the earlier ones every later one does, so the first
+    vector that reduces to zero is A^r e, and its coordinates are the
+    annihilator.  The pivots are the leading positions of the row space, the
+    pivots of its reduced echelon form, so back-substitution on the free
+    columns alone gives the basis read off that form, which is unique:
+    vector k is 1 at the k-th free column and 0 at the other free columns.
+
+    >>> path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    >>> _eliminate_walk(_walk_mod_p(path, 3), 3)
+    (2, ModPoly(p=3, coeffs=(1, 0, 1)), [(2, 0, 1)])
+    """
+    n = len(walk[0])
+    rows: list[list[int]] = []  # [row | coordinates], 1 at the pivot
+    pivots: list[int] = []
+    for k, vec in enumerate(walk):
+        v = [*vec, *[0] * k, 1]
+        for row, col in zip(rows, pivots):
+            if x := v[col]:
+                v[: len(row)] = [(a - x * b) % p for a, b in zip(v, row)]
+        col = next((j for j in range(n) if v[j]), None)
+        if col is None:
+            break
+        inv = pow(v[col], -1, p)
+        rows.append([x * inv % p for x in v])
+        pivots.append(col)
+    main = ModPoly(p, tuple(v[n:]))
+    free = [j for j in range(n) if j not in pivots]
+    # row i is already 0 at the earlier pivots; clearing the later ones
+    # changes it only there and at the free columns
+    reduced: list[list[int]] = [[]] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        vals = [row[f] for f in free]
+        for j in range(i + 1, len(rows)):
+            if x := row[pivots[j]]:
+                vals = [(a - x * b) % p for a, b in zip(vals, reduced[j])]
+        reduced[i] = vals
+    basis = []
+    for t, f in enumerate(free):
+        vec = [0] * n
+        vec[f] = 1
+        for c, vals in zip(pivots, reduced):
+            vec[c] = -vals[t] % p
+        basis.append(tuple(vec))
+    return len(rows), main, basis
 
 
 def _phi(chi: ModPoly, walk: list[list[int]], p: int) -> ModPoly:
@@ -53,9 +96,8 @@ def _phi(chi: ModPoly, walk: list[list[int]], p: int) -> ModPoly:
     return poly_gcd(chi, ModPoly.make(p, q))
 
 
-def _restricted_char_poly(adj: list[list[int]], walk: list[list[int]], p: int) -> ModPoly:
+def _restricted_char_poly(adj: list[list[int]], basis: list[tuple[int, ...]], p: int) -> ModPoly:
     n = len(adj)
-    basis = fpalg.nullspace_basis_p(IntMatrix.from_rows(walk[:n]), p)
     if not basis:
         return ModPoly.one(p)
     ab_cols = [_adj_apply(adj, vec, p) for vec in basis]
@@ -88,27 +130,27 @@ def p_main_poly(g: Graph, p: int) -> ModPoly:
     """Monic polynomial of least degree annihilating the all-ones vector:
     the smallest monic f over F_p with f(A) e = 0.
 
-    Its degree equals rank_p of the walk matrix, and the first rank-many
-    walk-matrix columns span the column space, so the reduced echelon form
-    of [W | A^n e] mod p determines the coefficients.
+    Its degree is the rank r of the walk matrix mod p: the first r walk
+    vectors are independent and A^r e depends on them, so its coordinates in
+    them, from the one elimination of the walk, are the coefficients.
     """
     fpalg._check_modulus(p)
-    return _rank_and_main(_walk_mod_p(g.adjacency(), p), p)[1]
+    return _eliminate_walk(_walk_mod_p(g.adjacency(), p), p)[1]
 
 
 def restricted_char_poly(g: Graph, p: int) -> ModPoly:
     """Characteristic polynomial of A acting on the F_p nullspace of W^T.
 
-    The nullspace is A-invariant, so with B the basis matrix from
-    ``nullspace_basis_p`` (of W^T built from the walk mod p) X in B X = A B
-    is read off A B at the basis's free columns; the result is the
+    The nullspace is A-invariant, so with B its reduced-echelon basis matrix,
+    from the one elimination of the walk mod p, X in B X = A B is read off
+    A B at the basis's free columns; the result is the
     characteristic polynomial of the small matrix X.  B X = A B is then
     checked in full: a mismatch is mathematically impossible and an
     internal error.
     """
     fpalg._check_modulus(p)
     adj = g.adjacency()
-    return _restricted_char_poly(adj, _walk_mod_p(adj, p), p)
+    return _restricted_char_poly(adj, _eliminate_walk(_walk_mod_p(adj, p), p)[2], p)
 
 
 def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
@@ -124,7 +166,7 @@ def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
     fpalg._check_modulus(p)
     n = g.n
     adj = g.adjacency()
-    rank, f = _rank_and_main(_walk_mod_p(adj, p), p)
+    rank, f, _ = _eliminate_walk(_walk_mod_p(adj, p), p)
     if rank == n:
         raise ValueError(f"prime {p} does not divide det W, nothing to reduce")
     cols = walk_matrix(g).transpose().to_rows()
@@ -181,7 +223,7 @@ def phi_report(g: Graph, p: int) -> PhiReport:
     n = g.n
     adj = g.adjacency()
     walk = _walk_mod_p(adj, p)
-    rank, main = _rank_and_main(walk, p)
+    rank, main, basis = _eliminate_walk(walk, p)
     nullity = n - rank
     chi = char_poly_mod_p(IntMatrix.from_rows(adj), p)
     phi = _phi(chi, walk, p)
@@ -189,7 +231,7 @@ def phi_report(g: Graph, p: int) -> PhiReport:
         raise InvariantViolation("phi must be nonzero for a nonzero characteristic polynomial")
     sfp_phi = sfp(phi)
     sqrt_phi = sqrt_poly(phi)
-    restricted = _restricted_char_poly(adj, walk, p)
+    restricted = _restricted_char_poly(adj, basis, p)
 
     if not (sfp_phi.degree <= nullity <= max(phi.degree, 0)):
         raise InvariantViolation(f"degree bound broken at p={p}: deg sfp={sfp_phi.degree}, nullity={nullity}, deg phi={phi.degree}")

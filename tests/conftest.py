@@ -4,15 +4,100 @@ import pytest
 
 from dgscert import specinv
 from dgscert.cospec import enumerate_generalized_cospectral_classes
+from dgscert.fpalg import _check_modulus
 from dgscert.graphcore import Graph, derive_seed, random_graph
+from dgscert.zlinalg import IntMatrix
 
 CORPUS_SEED = 0xD65C0DE
+# an n = 18 graph whose d_n has the 91-bit prime factor BIG_PRIME of nullity 1
+BIG_PRIME_GRAPH = (18, derive_seed(20211018, 18, 1))
+BIG_PRIME = 2541844075895812713707691391
 
 
 def seeded_corpus(count: int, n_lo: int, n_hi: int, seed: int = CORPUS_SEED) -> list[Graph]:
     """Deterministic mixed-order random graphs for property tests."""
     span = n_hi - n_lo + 1
     return [random_graph(n_lo + i % span, derive_seed(seed, n_lo + i % span, i)) for i in range(count)]
+
+
+def strong_pseudoprime_base_2() -> int:
+    """(4^43 + 1)/5: composite, since 4^p + 1 = (2^p - 2^((p+1)/2) + 1)(2^p +
+    2^((p+1)/2) + 1), above the deterministic Miller-Rabin bound 3.3e24, and
+    a strong probable prime to base 2, so only the Lucas half of BPSW can
+    reject it."""
+    n = (4**43 + 1) // 5
+    assert n > 33 * 10**23 and n % (2**43 + 2**22 + 1) == 0
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(2, d, n)
+    assert x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+    return n
+
+
+def permuted(g: Graph, perm) -> Graph:
+    """Relabel vertices: vertex i of the result is vertex perm[i] of g."""
+    return Graph.from_adjacency([[int(g.has_edge(perm[i], perm[j])) for j in range(g.n)] for i in range(g.n)])
+
+
+# Gauss-Jordan over F_p: the oracle for the library's one elimination of the
+# walk (specinv._eliminate_walk)
+
+
+def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """In-place reduced row echelon form mod p; returns (rows, pivot columns)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(vi - f * vr) % p for vi, vr in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _reduced_rows(m: IntMatrix, p: int) -> list[list[int]]:
+    _check_modulus(p)
+    return [[v % p for v in row] for row in m.to_rows()]
+
+
+def rank_p(m: IntMatrix, p: int) -> int:
+    """Rank of m over F_p."""
+    return len(_rref(_reduced_rows(m, p), p)[1])
+
+
+def nullity_p(m: IntMatrix, p: int) -> int:
+    if not m.is_square():
+        raise ValueError("nullity_p defined here for square matrices only")
+    return m.cols - rank_p(m, p)
+
+
+def nullspace_basis_p(m: IntMatrix, p: int) -> list[tuple[int, ...]]:
+    """Reduced-echelon basis of the right nullspace of m over F_p: basis
+    vector k has a 1 in the k-th free column and zeros in the other free
+    columns."""
+    rows, pivots = _rref(_reduced_rows(m, p), p)
+    n = m.cols
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        vec = [0] * n
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = (-rows[r][f]) % p
+        basis.append(tuple(vec))
+    return basis
 
 
 @pytest.fixture(scope="session")

@@ -35,10 +35,9 @@ def test_spec_surface_present():
         "parse_graph6", "emit_graph6", "complement", "random_graph",
         "walk_matrix", "determinant", "char_poly_int", "smith_normal_form",
         "factor_integer", "rational_solve",
-        "rank_p", "nullity_p", "nullspace_basis_p", "char_poly_mod_p",
-        "poly_gcd", "squarefree_decomposition", "sfp", "sqrt_poly",
+        "char_poly_mod_p", "poly_gcd", "squarefree_decomposition", "sfp", "sqrt_poly",
         "phi_p", "p_main_poly", "restricted_char_poly", "reduced_walk_matrix", "phi_report",
-        "check_controllable", "check_sqf_condition", "certify_dgs",
+        "check_sqf_condition", "certify_dgs",
         "spectrum_key", "verify_regular_orthogonal", "recover_q",
         "enumerate_generalized_cospectral_classes", "level_parity_audit",
     ):

@@ -19,6 +19,7 @@ from dgscert.cli import EXIT_INVARIANT, main
 from dgscert.errors import InvariantViolation
 from dgscert.experiments import ExperimentRow, run_conjecture_scan, run_experiment
 from dgscert.graphcore import derive_seed, emit_adjacency, emit_graph6, random_graph
+from conftest import BIG_PRIME, BIG_PRIME_GRAPH
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,14 @@ class TestInvariantsCommand:
         main(["invariants", str(fixture_files / "mate9.adj"), "-p", "3"])
         out = capsys.readouterr().out
         assert "sfp_phi: x+2" in out
+
+    def test_prime_above_2_62(self, tmp_path, capsys):
+        path = tmp_path / "big.g6"
+        path.write_text(emit_graph6(random_graph(*BIG_PRIME_GRAPH)) + "\n")
+        code = main(["invariants", str(path), "-p", str(BIG_PRIME), "--json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (data["p"], data["nullity"], data["eq4_holds"]) == (str(BIG_PRIME), 1, True)
 
     def test_even_prime_rejected(self, fixture_files, capsys):
         code = main(["invariants", str(fixture_files / "mate9.adj"), "-p", "2"])

@@ -6,16 +6,16 @@ from dgscert.fpalg import (
     ModPoly,
     char_poly_mod_p,
     format_poly,
-    nullity_p,
-    nullspace_basis_p,
     poly_gcd,
-    rank_p,
     sfp,
     sqrt_poly,
     squarefree_decomposition,
 )
 from dgscert.graphcore import Xorshift64Star, derive_seed, random_graph
 from dgscert.zlinalg import IntMatrix, char_poly_int, walk_matrix
+from conftest import nullity_p, nullspace_basis_p, rank_p, strong_pseudoprime_base_2
+
+M89 = 2**89 - 1
 
 
 def P(p, *ascending):
@@ -62,6 +62,17 @@ class TestModPoly:
         for bad in (2, 4, 9, 1, 15, (1 << 62) + 1):
             with pytest.raises(ValueError):
                 ModPoly.make(bad, [1])
+
+    def test_modulus_above_2_62_accepted(self):
+        assert P(M89, -1, 1).coeffs == (M89 - 1, 1)
+        assert char_poly_mod_p(IntMatrix.identity(2), M89) == P(M89, 1, -2, 1)
+
+    def test_composite_moduli_above_2_62_rejected(self):
+        for bad in ((1 << 62) + 1, strong_pseudoprime_base_2()):
+            with pytest.raises(ValueError, match="not an odd prime"):
+                ModPoly.make(bad, [1])
+            with pytest.raises(ValueError, match="not an odd prime"):
+                char_poly_mod_p(IntMatrix.identity(2), bad)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -14,6 +14,11 @@ from dgscert.graphcore import (
     parse_graph6,
     random_graph,
 )
+from conftest import permuted
+
+
+def edge_count(g: Graph) -> int:
+    return sum(g.degrees()) // 2
 
 
 class TestGraph6:
@@ -141,7 +146,7 @@ class TestRandomGraph:
             random_graph(65, 1)
 
     def test_mean_edge_count_within_3_sigma(self):
-        total = sum(random_graph(10, derive_seed(99, 10, i)).edge_count() for i in range(10000))
+        total = sum(edge_count(random_graph(10, derive_seed(99, 10, i))) for i in range(10000))
         mean = total / 10000
         sigma = math.sqrt(45 * 0.25 / 10000)
         assert abs(mean - 22.5) <= 3 * sigma
@@ -178,9 +183,9 @@ class TestGraphValidation:
             Graph(2, (1, 0))
 
     def test_permuted_preserves_structure(self, p3):
-        g = p3.permuted([2, 1, 0])
+        g = permuted(p3, [2, 1, 0])
         assert sorted(g.degrees()) == sorted(p3.degrees())
-        assert g.edge_count() == p3.edge_count()
+        assert edge_count(g) == edge_count(p3)
 
 
 def _graph_from_code(n: int, code: int) -> Graph:

@@ -3,7 +3,7 @@ import pytest
 from dgscert import specinv
 from dgscert.errors import InvariantViolation
 from dgscert.fixtures import dgs16_graph, mate9_graph, mate9_mate_graph
-from dgscert.fpalg import ModPoly, char_poly_mod_p, format_poly, nullspace_basis_p, poly_gcd, rank_p
+from dgscert.fpalg import ModPoly, char_poly_mod_p, format_poly, poly_gcd
 from dgscert.graphcore import Graph, derive_seed, random_graph
 from dgscert.specinv import (
     p_main_poly,
@@ -13,15 +13,65 @@ from dgscert.specinv import (
     restricted_char_poly,
 )
 from dgscert.zlinalg import IntMatrix, determinant, walk_matrix
-from conftest import seeded_corpus
+from conftest import (
+    BIG_PRIME,
+    BIG_PRIME_GRAPH,
+    _rref,
+    nullspace_basis_p,
+    rank_p,
+    seeded_corpus,
+    strong_pseudoprime_base_2,
+)
 
 # inputs for the checks against the routes phi_p and p_main_poly replaced
 DIFF_GRAPHS = [Graph(1, (0,))] + [random_graph(n, derive_seed(0xD1FF, n)) for n in (*range(2, 31), 48)]
 DIFF_PRIMES = (3, 5, 10**6 + 3, 2**61 - 1)
 
+# inputs for the one elimination of the walk against the two Gauss-Jordan
+# passes it replaced: (n, k, p) of certify_corpus pool graphs
+# random_graph(n, derive_seed(20211018, n, k)) of nullity 3, 4 and 5 at p
+POOL_HIGH_NULLITY = ((20, 23, 3), (20, 47, 5), (20, 65, 7), (20, 68, 5), (25, 1, 3))
+ELIM_PRIMES = (3, 5, 7, 11, 13, 10**6 + 3, 2**61 - 1, 2**89 - 1)
+
 
 def P(p, *ascending):
     return ModPoly.make(p, ascending)
+
+
+def _gauss_jordan_route(walk, p):
+    """Rank, minimal annihilator and nullspace basis of W^T as the library
+    took them before: the reduced echelon form of [W | A^n e], whose column
+    r holds the coordinates of A^r e, and a second one of W^T."""
+    n = len(walk) - 1
+    rows, pivots = _rref([list(row) for row in zip(*walk)], p)
+    r = len(pivots)
+    assert pivots == list(range(r))
+    main = ModPoly.make(p, [-rows[i][r] for i in range(r)] + [1])
+    return r, main, nullspace_basis_p(IntMatrix.from_rows(walk[:n]), p)
+
+
+class TestEliminateWalk:
+    def _check(self, g, p):
+        walk = specinv._walk_mod_p(g.adjacency(), p)
+        rank, main, basis = specinv._eliminate_walk(walk, p)
+        # the reduced-echelon basis of a subspace is unique, so the vectors
+        # must agree entry for entry
+        assert (rank, main, basis) == _gauss_jordan_route(walk, p), (g.n, p)
+        return len(basis)
+
+    @pytest.mark.parametrize("p", ELIM_PRIMES)
+    def test_matches_gauss_jordan_on_seeded_graphs(self, p):
+        for n in range(6, 31):
+            for k in range(3):
+                self._check(random_graph(n, derive_seed(0xE11, n, k)), p)
+
+    def test_matches_gauss_jordan_on_fixtures(self):
+        assert self._check(mate9_graph(), 3) == 2
+        assert self._check(dgs16_graph(), 3) == 2
+
+    @pytest.mark.parametrize("n,k,p", POOL_HIGH_NULLITY)
+    def test_matches_gauss_jordan_at_high_nullity(self, n, k, p):
+        assert self._check(random_graph(n, derive_seed(20211018, n, k)), p) >= 3
 
 
 class TestPhiP:
@@ -88,12 +138,6 @@ class TestPMainPoly:
                 f = p_main_poly(g, p)
                 assert f.degree == rank_p(walk_matrix(g), p), (g.n, p)
 
-    def test_non_leading_pivots_are_an_invariant_breach(self):
-        # columns e, Ae, A^2 e of a walk whose first vector is zero: the
-        # pivots are columns 1 and 2, impossible for a real Krylov sequence
-        with pytest.raises(InvariantViolation, match="pivots"):
-            specinv._rank_and_main([[0, 0], [1, 0], [0, 1]], 3)
-
 
 class TestRestrictedCharPoly:
     def test_full_rank_gives_one(self, k1):
@@ -107,9 +151,9 @@ class TestRestrictedCharPoly:
         # W^T of dgs16 with the adjacency of another graph: the nullspace is
         # not invariant under that matrix, and B X = A B must catch it
         g, other = dgs16_graph(), random_graph(16, derive_seed(0xD1FF, 16))
-        walk = specinv._walk_mod_p(g.adjacency(), 3)
+        basis = specinv._eliminate_walk(specinv._walk_mod_p(g.adjacency(), 3), 3)[2]
         with pytest.raises(InvariantViolation, match="A-invariant"):
-            specinv._restricted_char_poly(other.adjacency(), walk, 3)
+            specinv._restricted_char_poly(other.adjacency(), basis, 3)
 
     def test_mate9_divisibility_chain(self):
         from dgscert.fpalg import sfp
@@ -156,6 +200,14 @@ class TestPhiReport:
         r3, r5 = phi_report(g, 3), phi_report(g, 5)
         assert (r3.nullity, r3.sfp_phi.degree, r3.eq_degrees_match) == (2, 1, False)
         assert (r5.nullity, r5.sfp_phi.degree, r5.eq_degrees_match) == (2, 2, True)
+
+    def test_primes_above_2_62(self):
+        rep = phi_report(random_graph(*BIG_PRIME_GRAPH), BIG_PRIME)
+        assert (rep.nullity, rep.sfp_phi.degree, rep.eq_degrees_match) == (1, 1, True)
+        assert phi_report(dgs16_graph(), 2**89 - 1).nullity == 0
+        for bad in ((1 << 62) + 1, strong_pseudoprime_base_2()):
+            with pytest.raises(ValueError, match="not an odd prime"):
+                phi_report(dgs16_graph(), bad)
 
     def test_json_round_shape(self):
         d = phi_report(mate9_graph(), 5).to_json_dict()

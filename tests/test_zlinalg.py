@@ -600,6 +600,7 @@ def test_doctests():
 
     import dgscert.certify
     import dgscert.fpalg
+    import dgscert.specinv
     import dgscert.zlinalg
 
     results = doctest.testmod(dgscert.zlinalg)
@@ -610,4 +611,7 @@ def test_doctests():
     assert results.failed == 0 and results.attempted >= 1
     results = doctest.testmod(dgscert.certify)
     # _check_schema carries one
+    assert results.failed == 0 and results.attempted >= 1
+    results = doctest.testmod(dgscert.specinv)
+    # _eliminate_walk carries one
     assert results.failed == 0 and results.attempted >= 1
