@@ -218,6 +218,8 @@ class TestSfpSqrt:
 
 
 class TestLinearAlgebraModP:
+    # the Gauss-Jordan helpers of conftest, the oracle for specinv._eliminate_walk
+
     def test_rank_identity(self):
         for p in (3, 5, 7):
             assert rank_p(IntMatrix.identity(4), p) == 4
