@@ -208,7 +208,7 @@ def _sqf_condition_from_snf(
     return SQF_PASS, evidence
 
 
-def certify_dgs(g: Graph, effort: str = "default", autopass_report_limit: int | None = None) -> DgsVerdict:
+def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
     """Run the full certification pipeline on one graph.
 
     Steps: controllability, invariant factors, deterministic factorization
@@ -218,14 +218,12 @@ def certify_dgs(g: Graph, effort: str = "default", autopass_report_limit: int | 
     alongside; it can never certify a graph the main rule misses, and that
     containment is enforced as an internal check.
 
-    ``autopass_report_limit`` caps how many automatically passing primes
-    still get a full per-prime evidence report; it never changes the verdict.
-    An unknown effort level or a negative limit raises ValueError before
-    any work is done.
+    Every odd prime examined gets its full ``PhiReport`` in the verdict, in
+    ascending order up to the first one that fails, so a DGS_BY_MAIN verdict
+    holds one report per odd prime of d_n.  An unknown effort level raises
+    ValueError before any work is done.
     """
     _check_effort(effort)
-    if autopass_report_limit is not None and autopass_report_limit < 0:
-        raise ValueError("autopass_report_limit must be non-negative")
     n = g.n
     snf = smith_normal_form(walk_matrix(g))
     det = snf.det_sign * snf.abs_det()
@@ -248,13 +246,13 @@ def certify_dgs(g: Graph, effort: str = "default", autopass_report_limit: int | 
         # v2(det W) > floor(n/2) before it asks for the factorization.
         # Skipping the factorization here makes the large-order experiment
         # runs several times faster.
-        odd_fact = FactorizationResult((), odd_dn, "complete" if odd_dn == 1 else "partial")
+        odd_fact = FactorizationResult((), odd_dn)
     else:
         odd_fact = factor_integer(odd_dn, effort)
     sqf_status, _ = _sqf_condition_from_snf(n, det, snf, lambda: odd_fact)
 
     dn_powers = (((2, v2_dn),) if v2_dn else ()) + odd_fact.prime_powers
-    dn_fact = FactorizationResult(tuple(sorted(dn_powers)), odd_fact.cofactor, odd_fact.status)
+    dn_fact = FactorizationResult(tuple(sorted(dn_powers)), odd_fact.cofactor)
 
     def finish(status: str, rule: str | None, reports, failing) -> DgsVerdict:
         if status != STATUS_DGS_BY_MAIN and sqf_status == SQF_PASS:
@@ -275,17 +273,10 @@ def certify_dgs(g: Graph, effort: str = "default", autopass_report_limit: int | 
         notes.append("d_n = 2 (mod 4): any conjugating rational orthogonal matrix has odd level")
 
     reports: list[PhiReport] = []
-    autopass_reported = 0
     for p in odd_fact.primes():
-        nullity_snf = sum(1 for d in snf.factors if d % p == 0)
-        if nullity_snf == 1 and autopass_report_limit is not None and autopass_reported >= autopass_report_limit:
-            notes.append(f"prime {p}: nullity 1 passes automatically (report omitted)")
-            continue
         rep = _prime_report(g, snf, p)
-        if nullity_snf == 1:
-            if not rep.eq_degrees_match:
-                raise InvariantViolation(f"nullity 1 must force a degree-1 squarefree part at p={p}")
-            autopass_reported += 1
+        if rep.nullity == 1 and not rep.eq_degrees_match:
+            raise InvariantViolation(f"nullity 1 must force a degree-1 squarefree part at p={p}")
         reports.append(rep)
         if not rep.eq_degrees_match:
             return finish(STATUS_CONDITION_FAILS, None, reports, p)

@@ -8,9 +8,9 @@ seeded and every command is deterministic given its flags; the
 experiment commands can fan work out to a process pool without changing
 their output.
 
-Exit codes: 0 success / certified, 1 input error, 2 not certified or
-verification failed, 3 internal invariant violated (a bug, not a property
-of the input).
+Exit codes: 0 success / certified, 1 input error (usage errors included),
+2 not certified or verification failed, 3 internal invariant violated (a
+bug, not a property of the input).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _cmd_certify(args) -> int:
     all_certified = True
     for g in graphs:
         with _on_graph(g):
-            verdict = certify_dgs(g, args.effort, autopass_report_limit=args.primes_limit)
+            verdict = certify_dgs(g, args.effort)
         all_certified = all_certified and verdict.certified
         if args.text:
             d = verdict.to_json_dict()
@@ -223,15 +223,23 @@ def _add_io_flags(sub) -> None:
     sub.add_argument("--json", action="store_true", help="JSON output")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1, never the "not certified" 2
+    that argparse would use.  The subcommand parsers share this class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dgscert", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="dgscert", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("certify", help="certify graphs as determined by their generalized spectrum")
     p.add_argument("input", nargs="+", help="input files ('-' for stdin)")
     p.add_argument("--format", choices=("auto", "graph6", "adj"), default="auto")
     p.add_argument("--effort", choices=("low", "default", "high"), default="default")
-    p.add_argument("--primes-limit", type=int, default=None, help="cap on reports for automatically passing primes")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True, help="JSON verdicts (default)")
     fmt.add_argument("--text", action="store_true", help="human-readable verdicts")

@@ -8,8 +8,8 @@ optional process pool.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .certify import (
@@ -78,9 +78,12 @@ def _certify_sample(args: tuple[int, int, str]) -> tuple[bool, bool, str]:
 
 
 def _pooled_map(fn, items, jobs: int):
-    if jobs <= 1:
+    # a fork-based pool starts all of its workers at the first submit, so
+    # never ask for more than there are items
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(it) for it in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=8))
 
 

@@ -161,12 +161,6 @@ class ModPoly:
             e >>= 1
         return out
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -209,12 +203,6 @@ class SquarefreeDecomposition:
 
     p: int
     parts: tuple[tuple[ModPoly, int], ...]
-
-    def reassemble(self) -> ModPoly:
-        out = ModPoly.one(self.p)
-        for g, j in self.parts:
-            out = out * g.pow(j)
-        return out
 
 
 def _pth_root(f: ModPoly) -> ModPoly:

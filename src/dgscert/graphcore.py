@@ -133,10 +133,6 @@ class Graph:
         return Graph(self.n, tuple((full ^ r ^ (1 << i)) for i, r in enumerate(self.rows)))
 
 
-def complement(g: Graph) -> Graph:
-    return g.complement()
-
-
 def _pair_order(n: int):
     # graph6 bit order: upper triangle, column by column
     for j in range(1, n):

@@ -1,13 +1,15 @@
-"""Spectral invariants over F_p: the common-root polynomial of A and A+J,
-the minimal annihilator of the all-ones vector, the characteristic polynomial
-of A restricted to the nullspace of W^T, and the reduced walk matrix.
+"""Spectral invariants over F_p, all gathered by one entry point,
+``phi_report``: the common-root polynomial of A and A+J, the minimal
+annihilator of the all-ones vector and the characteristic polynomial of A
+restricted to the nullspace of W^T (the ``PhiReport`` fields ``phi``,
+``p_main`` and ``restricted_charpoly``).
 
 A (graph, prime) pair costs one walk e, Ae, ..., A^n e reduced mod p and one
 elimination over F_p (``_eliminate_walk``): it gives the rank of W, the
 minimal annihilator of e and a nullspace basis of W^T, from which the
 restricted characteristic polynomial follows.  The characteristic polynomial
 of A comes from an independent route, a Hessenberg reduction.  A + J is never
-formed (see ``phi_p``).
+formed (see ``_phi``).
 
 The relationships between these quantities (degree bounds, divisibility
 chains, factorization identities) are proven facts, so ``phi_report`` checks
@@ -23,7 +25,7 @@ from . import fpalg
 from .errors import InvariantViolation
 from .fpalg import ModPoly, char_poly_mod_p, format_poly, poly_gcd, sfp, sqrt_poly
 from .graphcore import Graph
-from .zlinalg import IntMatrix, _adj_apply, walk_matrix
+from .zlinalg import IntMatrix, _adj_apply
 
 
 def _walk_mod_p(adj: list[list[int]], p: int) -> list[list[int]]:
@@ -88,7 +90,13 @@ def _eliminate_walk(walk: list[list[int]], p: int) -> tuple[int, ModPoly, list[t
 
 
 def _phi(chi: ModPoly, walk: list[list[int]], p: int) -> ModPoly:
-    """gcd(chi_A, q) with q = chi_A - chi_{A+J} as in ``phi_p``."""
+    """Monic gcd over F_p of the characteristic polynomials of A and A + J.
+
+    A + J is never formed: by the matrix determinant lemma
+    chi_{A+J} = chi_A - e^T adj(xI - A) e = chi_A - q with
+    q_m = sum_k c_{m+k+1} N_k, where chi_A = sum_j c_j x^j and N_k = e^T A^k e
+    is the k-th column sum of W.  So phi = gcd(chi_A, q).
+    """
     n = len(walk) - 1
     c = chi.coeffs
     sums = [sum(v) for v in walk[:n]]
@@ -97,6 +105,14 @@ def _phi(chi: ModPoly, walk: list[list[int]], p: int) -> ModPoly:
 
 
 def _restricted_char_poly(adj: list[list[int]], basis: list[tuple[int, ...]], p: int) -> ModPoly:
+    """Characteristic polynomial of A acting on the F_p nullspace of W^T.
+
+    The nullspace is A-invariant, so with B its reduced-echelon basis matrix,
+    X in B X = A B is read off A B at the basis's free columns; the result is
+    the characteristic polynomial of the small matrix X.  B X = A B is then
+    checked in full: a mismatch is mathematically impossible and an
+    internal error.
+    """
     n = len(adj)
     if not basis:
         return ModPoly.one(p)
@@ -112,77 +128,18 @@ def _restricted_char_poly(adj: list[list[int]], basis: list[tuple[int, ...]], p:
     return char_poly_mod_p(IntMatrix.from_rows(x_cols).transpose(), p)
 
 
-def phi_p(g: Graph, p: int) -> ModPoly:
-    """Monic gcd over F_p of the characteristic polynomials of A and A + J.
-
-    Invariant under generalized cospectrality, which is what makes it usable
-    as certification evidence.  A + J is never formed: by the matrix
-    determinant lemma chi_{A+J} = chi_A - e^T adj(xI - A) e = chi_A - q with
-    q_m = sum_k c_{m+k+1} N_k, where chi_A = sum_j c_j x^j and N_k = e^T A^k e
-    is the k-th column sum of W.  So phi = gcd(chi_A, q).
-    """
-    fpalg._check_modulus(p)
-    adj = g.adjacency()
-    return _phi(char_poly_mod_p(IntMatrix.from_rows(adj), p), _walk_mod_p(adj, p), p)
-
-
-def p_main_poly(g: Graph, p: int) -> ModPoly:
-    """Monic polynomial of least degree annihilating the all-ones vector:
-    the smallest monic f over F_p with f(A) e = 0.
-
-    Its degree is the rank r of the walk matrix mod p: the first r walk
-    vectors are independent and A^r e depends on them, so its coordinates in
-    them, from the one elimination of the walk, are the coefficients.
-    """
-    fpalg._check_modulus(p)
-    return _eliminate_walk(_walk_mod_p(g.adjacency(), p), p)[1]
-
-
-def restricted_char_poly(g: Graph, p: int) -> ModPoly:
-    """Characteristic polynomial of A acting on the F_p nullspace of W^T.
-
-    The nullspace is A-invariant, so with B its reduced-echelon basis matrix,
-    from the one elimination of the walk mod p, X in B X = A B is read off
-    A B at the basis's free columns; the result is the
-    characteristic polynomial of the small matrix X.  B X = A B is then
-    checked in full: a mismatch is mathematically impossible and an
-    internal error.
-    """
-    fpalg._check_modulus(p)
-    adj = g.adjacency()
-    return _restricted_char_poly(adj, _eliminate_walk(_walk_mod_p(adj, p), p)[2], p)
-
-
-def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
-    """Walk matrix with the p-divisible tail compressed out.
-
-    With k the nullity of W mod p and f the [0, p) integer lift of the
-    minimal annihilator of e, the columns are e, Ae, ..., A^(n-k-1) e
-    followed by A^i f(A) e / p for i < k.  Integrality of the first divided
-    column is guaranteed because f(A) e vanishes mod p; the remaining ones
-    are A applied to an integer vector.  The determinant shrinks by exactly
-    p**k.
-    """
-    fpalg._check_modulus(p)
-    n = g.n
-    adj = g.adjacency()
-    rank, f, _ = _eliminate_walk(_walk_mod_p(adj, p), p)
-    if rank == n:
-        raise ValueError(f"prime {p} does not divide det W, nothing to reduce")
-    cols = walk_matrix(g).transpose().to_rows()
-    fe = [sum(c * cols[d][i] for d, c in enumerate(f.coeffs)) for i in range(n)]
-    if any(x % p for x in fe):
-        raise InvariantViolation("minimal annihilator lift does not vanish mod p")
-    tail = [x // p for x in fe]
-    for j in range(rank, n):
-        cols[j] = tail
-        tail = _adj_apply(adj, tail)
-    return IntMatrix.from_rows(cols).transpose()
-
-
 @dataclass(frozen=True)
 class PhiReport:
-    """All F_p evidence for one (graph, prime) pair, self-checked on build."""
+    """All F_p evidence for one (graph, prime) pair, self-checked on build.
+
+    ``phi`` is the monic gcd of chi_A and chi_{A+J}, invariant under
+    generalized cospectrality, which is what makes it usable as
+    certification evidence.  ``p_main`` is the monic polynomial of least
+    degree with p_main(A) e = 0; its degree is the rank of W mod p, and its
+    coefficients are the coordinates of A^rank e in the walk vectors before
+    it.  ``restricted_charpoly`` is the characteristic polynomial of A on the
+    nullspace of W^T.
+    """
 
     p: int
     n: int

@@ -87,13 +87,16 @@ class SnfResult:
 class FactorizationResult:
     """Prime-power decomposition of the extracted part of an integer.
 
-    ``status`` is "complete" iff the unfactored cofactor is 1; a partial
-    result still satisfies n == cofactor * prod(p**e).
+    ``status`` is "complete" iff the unfactored cofactor is 1, else
+    "partial"; a partial result still satisfies n == cofactor * prod(p**e).
     """
 
     prime_powers: tuple[tuple[int, int], ...]
     cofactor: int
-    status: str
+
+    @property
+    def status(self) -> str:
+        return "complete" if self.cofactor == 1 else "partial"
 
     @property
     def is_complete(self) -> bool:
@@ -711,5 +714,4 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
             else:
                 stack.append(found)
                 stack.append(c // found)
-    status = "complete" if cofactor == 1 else "partial"
-    return FactorizationResult(tuple(sorted(powers.items())), cofactor, status)
+    return FactorizationResult(tuple(sorted(powers.items())), cofactor)

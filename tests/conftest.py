@@ -4,9 +4,10 @@ import pytest
 
 from dgscert import specinv
 from dgscert.cospec import enumerate_generalized_cospectral_classes
+from dgscert.errors import InvariantViolation
 from dgscert.fpalg import _check_modulus
 from dgscert.graphcore import Graph, derive_seed, random_graph
-from dgscert.zlinalg import IntMatrix
+from dgscert.zlinalg import IntMatrix, _adj_apply, walk_matrix
 
 CORPUS_SEED = 0xD65C0DE
 # an n = 18 graph whose d_n has the 91-bit prime factor BIG_PRIME of nullity 1
@@ -98,6 +99,34 @@ def nullspace_basis_p(m: IntMatrix, p: int) -> list[tuple[int, ...]]:
             vec[c] = (-rows[r][f]) % p
         basis.append(tuple(vec))
     return basis
+
+
+def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
+    """Walk matrix with the p-divisible tail compressed out: the oracle for
+    the nullity that ``phi_report`` gives, by the determinant drop.
+
+    With k the nullity of W mod p and f the [0, p) integer lift of the
+    minimal annihilator of e, the columns are e, Ae, ..., A^(n-k-1) e
+    followed by A^i f(A) e / p for i < k.  Integrality of the first divided
+    column is guaranteed because f(A) e vanishes mod p; the remaining ones
+    are A applied to an integer vector.  The determinant shrinks by exactly
+    p**k.
+    """
+    _check_modulus(p)
+    n = g.n
+    adj = g.adjacency()
+    rank, f, _ = specinv._eliminate_walk(specinv._walk_mod_p(adj, p), p)
+    if rank == n:
+        raise ValueError(f"prime {p} does not divide det W, nothing to reduce")
+    cols = walk_matrix(g).transpose().to_rows()
+    fe = [sum(c * cols[d][i] for d, c in enumerate(f.coeffs)) for i in range(n)]
+    if any(x % p for x in fe):
+        raise InvariantViolation("minimal annihilator lift does not vanish mod p")
+    tail = [x // p for x in fe]
+    for j in range(rank, n):
+        cols[j] = tail
+        tail = _adj_apply(adj, tail)
+    return IntMatrix.from_rows(cols).transpose()
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ from dgscert.fixtures import (
 )
 from dgscert.fpalg import char_poly_mod_p, format_poly
 from dgscert.graphcore import derive_seed, random_graph
-from dgscert.specinv import phi_report, reduced_walk_matrix
+from dgscert.specinv import phi_report
 from dgscert.zlinalg import (
     IntMatrix,
     determinant,
@@ -42,6 +42,7 @@ from dgscert.zlinalg import (
     smith_normal_form,
     walk_matrix,
 )
+from conftest import reduced_walk_matrix
 
 B16 = 3 * 23 * 29 * 1225550789 * 6442787651
 CORPUS_SEED = 20260808

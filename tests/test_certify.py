@@ -135,13 +135,6 @@ class TestCertifyFixtures:
         assert v.dn % 4 == 2
         assert any("odd level" in note for note in v.notes)
 
-    def test_autopass_report_limit_does_not_change_verdict(self):
-        full = certify_dgs(dgs16_graph())
-        limited = certify_dgs(dgs16_graph(), autopass_report_limit=0)
-        assert limited.status == full.status == STATUS_DGS_BY_MAIN
-        assert [r.p for r in limited.per_prime] == [3]
-        assert len(full.per_prime) == 5
-
     @pytest.mark.parametrize(
         "k,status", [(1, STATUS_CONDITION_FAILS), (3, STATUS_NOT_CONTROLLABLE)], ids=["4-divides-dn", "singular"]
     )

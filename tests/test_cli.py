@@ -69,17 +69,6 @@ class TestCertifyCommand:
         out = capsys.readouterr().out
         assert "status=DGS_BY_MAIN" in out and code == 0
 
-    def test_primes_limit_flag(self, fixture_files, capsys):
-        main(["certify", str(fixture_files / "dgs16.g6"), "--primes-limit", "0"])
-        verdict = json.loads(capsys.readouterr().out)
-        assert [r["p"] for r in verdict["primes"]] == ["3"]
-        assert verdict["status"] == "DGS_BY_MAIN"
-
-    def test_negative_primes_limit_is_input_error(self, fixture_files, capsys):
-        assert main(["certify", str(fixture_files / "dgs16.g6"), "--primes-limit", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "autopass_report_limit must be non-negative" in captured.err
-
     def test_multiple_graphs_one_verdict_per_line(self, tmp_path, capsys):
         batch = tmp_path / "batch.g6"
         batch.write_text("@\nA_\n")  # K_1 certified, K_2 not controllable
@@ -94,6 +83,30 @@ class TestCertifyCommand:
         assert json.loads(capsys.readouterr().out)["n"] == 9 and code == 2
         # forcing graph6 on adjacency text must fail as input error
         assert main(["certify", str(fixture_files / "mate9.adj"), "--format", "graph6"]) == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--bogus", "dgs16.g6"],
+            ["invariants", "mate9.adj", "-p", "notanint"],
+            ["certify", "dgs16.g6", "--primes-limit", "2"],
+        ],
+        ids=["unknown-flag", "non-integer-prime", "removed-primes-limit"],
+    )
+    def test_exit_one_not_the_not_certified_two(self, fixture_files, capsys, argv):
+        argv = [str(fixture_files / a) if a.endswith((".g6", ".adj")) else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_INPUT_ERROR
+        assert captured.out == "" and captured.err.startswith("usage: dgscert")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: dgscert certify")
 
 
 class TestSnfCommand:
@@ -291,6 +304,31 @@ class TestHarnessFunctions:
         serial, _ = run_experiment([7], samples=10, seed=2, jobs=1)
         pooled, _ = run_experiment([7], samples=10, seed=2, jobs=2)
         assert serial == pooled
+
+    def test_pool_never_outnumbers_the_samples(self, monkeypatch):
+        # a stand-in pool that records its size and maps serially, so no
+        # process starts and no large worker count reaches the OS
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        serial, _ = run_experiment([7], samples=3, seed=2, jobs=1)
+        assert run_experiment([7], samples=3, seed=2, jobs=64)[0] == serial
+        run_experiment([7], samples=10, seed=2, jobs=2)
+        run_experiment([7], samples=1, seed=2, jobs=64)
+        assert asked == [3, 2]
 
     def test_experiment_row_validates_tallies(self):
         with pytest.raises(InvariantViolation):

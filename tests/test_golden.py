@@ -124,6 +124,18 @@ def test_golden_verdicts_match_the_schema():
         validate_verdict_dict(json.loads(line))
 
 
+def test_certified_verdicts_report_every_odd_prime():
+    # a DGS_BY_MAIN verdict is a proof only with one report per odd prime of d_n
+    certified = 0
+    for line in VERDICTS.read_text(encoding="utf-8").splitlines():
+        d = json.loads(line)
+        if d["status"] == "DGS_BY_MAIN":
+            certified += 1
+            odd = sorted(int(p) for p, _ in d["dn_factors"] if p != "2")
+            assert [int(r["p"]) for r in d["primes"]] == odd, d["dn"]
+    assert certified > 0
+
+
 def test_phi_reports_byte_identical():
     _assert_same_lines(phi_lines(), PHI)
 

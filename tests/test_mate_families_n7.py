@@ -11,7 +11,7 @@ import pytest
 from dgscert.certify import certify_dgs
 from dgscert.cospec import spectrum_key
 from dgscert.graphcore import parse_graph6
-from dgscert.specinv import phi_p
+from dgscert.specinv import phi_report
 from dgscert.zlinalg import determinant, walk_matrix
 
 
@@ -32,7 +32,7 @@ def test_phi_invariance_across_families(families):
     for reps in families.values():
         graphs = [parse_graph6(r) for r in reps]
         for p in (3, 5, 7):
-            values = {phi_p(g, p) for g in graphs}
+            values = {phi_report(g, p).phi for g in graphs}
             assert len(values) == 1
 
 

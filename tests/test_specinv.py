@@ -5,13 +5,7 @@ from dgscert.errors import InvariantViolation
 from dgscert.fixtures import dgs16_graph, mate9_graph, mate9_mate_graph
 from dgscert.fpalg import ModPoly, char_poly_mod_p, format_poly, poly_gcd
 from dgscert.graphcore import Graph, derive_seed, random_graph
-from dgscert.specinv import (
-    p_main_poly,
-    phi_p,
-    phi_report,
-    reduced_walk_matrix,
-    restricted_char_poly,
-)
+from dgscert.specinv import phi_report
 from dgscert.zlinalg import IntMatrix, determinant, walk_matrix
 from conftest import (
     BIG_PRIME,
@@ -19,11 +13,12 @@ from conftest import (
     _rref,
     nullspace_basis_p,
     rank_p,
+    reduced_walk_matrix,
     seeded_corpus,
     strong_pseudoprime_base_2,
 )
 
-# inputs for the checks against the routes phi_p and p_main_poly replaced
+# inputs for the checks of phi and p_main against the routes they replaced
 DIFF_GRAPHS = [Graph(1, (0,))] + [random_graph(n, derive_seed(0xD1FF, n)) for n in (*range(2, 31), 48)]
 DIFF_PRIMES = (3, 5, 10**6 + 3, 2**61 - 1)
 
@@ -77,26 +72,26 @@ class TestEliminateWalk:
 class TestPhiP:
     def test_single_vertex_is_one(self, k1):
         for p in (3, 5, 7):
-            assert phi_p(k1, p).is_one()
+            assert phi_report(k1, p).phi.is_one()
 
     def test_dgs16_exact_value(self):
-        assert format_poly(phi_p(dgs16_graph(), 3)) == "x^4+2x^3+2x^2+x+1"
+        assert format_poly(phi_report(dgs16_graph(), 3).phi) == "x^4+2x^3+2x^2+x+1"
 
     def test_mate9_squarefree_parts(self):
         from dgscert.fpalg import sfp
 
         g = mate9_graph()
-        assert format_poly(sfp(phi_p(g, 3))) == "x+2"
-        assert format_poly(sfp(phi_p(g, 5))) == "x^2+x+1"
+        assert format_poly(sfp(phi_report(g, 3).phi)) == "x+2"
+        assert format_poly(sfp(phi_report(g, 5).phi)) == "x^2+x+1"
 
     def test_invariant_under_generalized_cospectrality(self):
         g, h = mate9_graph(), mate9_mate_graph()
         for p in (3, 5, 7):
-            assert phi_p(g, p) == phi_p(h, p)
+            assert phi_report(g, p).phi == phi_report(h, p).phi
 
     def test_rejects_p_equal_two(self, k1):
         with pytest.raises(ValueError):
-            phi_p(k1, 2)
+            phi_report(k1, 2)
 
     @pytest.mark.parametrize("p", DIFF_PRIMES)
     def test_matches_gcd_of_the_two_charpolys(self, p):
@@ -105,24 +100,24 @@ class TestPhiP:
             adj = g.adjacency()
             chi_a = char_poly_mod_p(IntMatrix.from_rows(adj), p)
             chi_aj = char_poly_mod_p(IntMatrix.from_rows([[v + 1 for v in row] for row in adj]), p)
-            assert phi_p(g, p) == poly_gcd(chi_a, chi_aj), (g.n, p)
+            assert phi_report(g, p).phi == poly_gcd(chi_a, chi_aj), (g.n, p)
 
 
 class TestPMainPoly:
     def test_single_vertex(self, k1):
         for p in (3, 5):
-            assert p_main_poly(k1, p) == P(p, 0, 1)
+            assert phi_report(k1, p).p_main == P(p, 0, 1)
 
     def test_mate9_pair_values(self):
-        assert format_poly(p_main_poly(mate9_graph(), 3)) == "x^7+2x^6+2x^5+x^4+2x^3+2x^2+x"
-        assert format_poly(p_main_poly(mate9_mate_graph(), 3)) == "x^8+x^7+2x^5+x^4+2x^2+2x"
+        assert format_poly(phi_report(mate9_graph(), 3).p_main) == "x^7+2x^6+2x^5+x^4+2x^3+2x^2+x"
+        assert format_poly(phi_report(mate9_mate_graph(), 3).p_main) == "x^8+x^7+2x^5+x^4+2x^2+2x"
 
     def test_annihilates_all_ones_vector(self, small_corpus):
         for g in small_corpus[:12] + DIFF_GRAPHS:
             adj = g.adjacency()
             n = g.n
             for p in DIFF_PRIMES:
-                f = p_main_poly(g, p)
+                f = phi_report(g, p).p_main
                 v = [0] * n
                 power = [1] * n
                 for c in f.coeffs:
@@ -135,17 +130,17 @@ class TestPMainPoly:
         # can annihilate e because the first rank columns are independent
         for g in [p3] + DIFF_GRAPHS:
             for p in DIFF_PRIMES:
-                f = p_main_poly(g, p)
+                f = phi_report(g, p).p_main
                 assert f.degree == rank_p(walk_matrix(g), p), (g.n, p)
 
 
 class TestRestrictedCharPoly:
     def test_full_rank_gives_one(self, k1):
-        assert restricted_char_poly(k1, 3).is_one()
+        assert phi_report(k1, 3).restricted_charpoly.is_one()
 
     def test_dgs16_value(self):
         # degree 2 and divisible by sfp(phi) = x^2+x+2, hence equal to it
-        assert restricted_char_poly(dgs16_graph(), 3) == P(3, 2, 1, 1)
+        assert phi_report(dgs16_graph(), 3).restricted_charpoly == P(3, 2, 1, 1)
 
     def test_non_invariant_nullspace_is_an_invariant_breach(self):
         # W^T of dgs16 with the adjacency of another graph: the nullspace is
@@ -159,8 +154,8 @@ class TestRestrictedCharPoly:
         from dgscert.fpalg import sfp
 
         g = mate9_graph()
-        restricted = restricted_char_poly(g, 3)
-        phi = phi_p(g, 3)
+        rep = phi_report(g, 3)
+        restricted, phi = rep.restricted_charpoly, rep.phi
         assert restricted.degree == 2
         assert sfp(phi).divides(restricted)
         assert restricted.divides(phi)
