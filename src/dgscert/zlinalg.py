@@ -1,11 +1,12 @@
 """Exact integer matrix algebra and number-theory utilities.
 
 Everything here is exact: matrices hold arbitrary-precision Python integers,
-determinants come from fraction-free elimination, the integer characteristic
-polynomial from a division-free recurrence (``fpalg`` has its own Hessenberg
-route over F_p), and the Smith normal form of a nonsingular matrix from one
-elimination modulo a small multiple of d_1 ... d_(n-1) that the determinant's
-elimination supplies (singular matrices are eliminated over Z).  Each stage
+determinants and ranks come from fraction-free elimination, the integer
+characteristic polynomial from a division-free recurrence (``fpalg`` has its
+own Hessenberg route over F_p), and the Smith normal form of every square
+matrix from one elimination modulo a multiple of d_1 ... d_r that the
+determinant's elimination supplies (r the rank): a small multiple of
+d_1 ... d_(n-1) at full rank, a nonzero r x r minor below it.  Each stage
 of that modular elimination pivots on a unit mod the modulus when the active
 block has one and clears its column in one row pass; a stage without a unit
 falls back to gcd division and smallest-entry Euclid steps.
@@ -67,7 +68,9 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Invariant factors d_1 | d_2 | ... | d_n plus the determinant sign."""
+    """Invariant factors d_1 | d_2 | ... | d_n plus the determinant sign:
+    +1 or -1 for a nonsingular matrix (+1 for the 0 x 0 one), 0 for a
+    singular one."""
 
     factors: tuple[int, ...]
     det_sign: int
@@ -140,35 +143,46 @@ def walk_matrix(g: Graph) -> IntMatrix:
     return IntMatrix.from_rows([[cols[k][i] for k in range(n)] for i in range(n)])
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
-    """Bareiss fraction-free elimination in place: (det, trailing minors).
+def _bareiss(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
+    """Bareiss fraction-free elimination in place: (rank, lead, trailing minors).
 
     Every division performed is exact, so intermediate entries stay at the
     size of minors of the input rather than exploding exponentially.  After
     stage k each entry (i, j) of the active block is the minor on rows
-    0..k, i and columns 0..k, j (Sylvester's identity), so the trailing 2x2
-    block after stage n-3 holds four (n-1)-minors; they are returned as the
-    second item (the four entries when n = 2, empty when n < 2 or when a
-    zero pivot column shows the matrix singular before that stage).
+    0..k, i and columns 0..k, j of the permuted matrix (Sylvester's
+    identity).  A stage swaps columns only when its pivot column is zero
+    from the diagonal down, which never happens for a nonsingular input; an
+    all-zero active block ends the elimination at rank r.  ``lead`` is the
+    leading r x r minor of the permuted matrix times the sign of the swaps,
+    so it is det when r = n.  The trailing 2x2 block after stage n-3 holds
+    four (n-1)-minors; they are the third item (the four entries when
+    n = 2, empty when n < 2 or when the rank proves short before that
+    stage).
+
+    >>> _bareiss([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    (2, -3, (-3, -6, -6, -12))
     """
     n = len(rows)
-    if n == 0:
-        return 1, ()
     a = rows
     sign = 1
     prev = 1
     minors: tuple[int, ...] = ()
-    for k in range(n - 1):
+    for k in range(n):
         if k == n - 2:
             minors = (a[k][k], a[k][k + 1], a[k + 1][k], a[k + 1][k + 1])
         if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, minors
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                j = next((j for j in range(k + 1, n) if any(row[j] for row in a[k:])), None)
+                if j is None:
+                    return k, sign * prev, minors
+                for row in a[k:]:
+                    row[k], row[j] = row[j], row[k]
+                sign = -sign
+                r = next(r for r in range(k, n) if a[r][k])
+            if r != k:
+                a[k], a[r] = a[r], a[k]
+                sign = -sign
         pivot = a[k][k]
         for i in range(k + 1, n):
             row_i = a[i]
@@ -178,14 +192,15 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1], minors
+    return n, sign * prev, minors
 
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    return _bareiss(m.to_rows())[0]
+    rank, lead, _ = _bareiss(m.to_rows())
+    return lead if rank == m.rows else 0
 
 
 def _charpoly_berkowitz(rows: list[list[int]]) -> list[int]:
@@ -236,183 +251,152 @@ def char_poly_int(m: IntMatrix) -> tuple[int, ...]:
     return tuple(_charpoly_berkowitz(m.to_rows()))
 
 
-def _swap_to_pivot(a: list[list[int]], k: int, i: int, j: int) -> int:
-    """Move entry (i, j) to (k, k) by a row swap and a column swap of the
-    active block (rows k and below); returns the sign change, -1 per swap."""
-    sign = 1
-    if i != k:
-        a[k], a[i] = a[i], a[k]
-        sign = -sign
-    if j != k:
-        for row in a[k:]:
-            row[k], row[j] = row[j], row[k]
-        sign = -sign
-    return sign
+def _swap_to_pivot(a: list[list[int]], i: int, j: int) -> None:
+    """Move entry (i, j) to (0, 0) by a row swap and a column swap."""
+    a[0], a[i] = a[i], a[0]
+    for row in a:
+        row[0], row[j] = row[j], row[0]
 
 
-def _eliminate(a: list[list[int]], modulus: int = 0) -> tuple[tuple[int, ...], int]:
-    """Invariant factors of the square matrix ``a`` over Z/modulus, in place.
+def _eliminate(a: list[list[int]], modulus: int) -> tuple[int, ...]:
+    """Invariant factors gcd(d_i, modulus) of the square matrix ``a`` over
+    Z/modulus, modulus >= 1, in place.
 
-    ``modulus`` 0 means over Z.  With a modulus M the entries must come
-    reduced mod M, stay reduced mod the current modulus, and the factors are
-    gcd(d_i, M).  A stage over Z/M first looks for an active entry that is a
-    unit (coprime to the current modulus).  One found proves the active
-    gcd is 1: it is swapped to the pivot, each row below is cleared in one
-    pass with its factor row_i[k] / pivot mod M, and the pivot row's tail
-    is zeroed (column operations, which touch no other row once column k
-    is clear), so the stage factor is the multiplier alone.  A stage with
-    no unit, and every stage over Z, runs classical elimination: the gcd of
-    the active submatrix and the modulus is divided out of both and
-    re-applied as a multiplier to all later factors, which keeps entries
-    near the size of the factors, and the smallest nonzero entry is the
-    pivot until its row and column clear.
+    The entries must come reduced mod ``modulus`` and stay in [0, M) for
+    the current modulus M.  Each stage brings its pivot to (0, 0), clears
+    its column, and drops its row and column from the active block; the
+    pivot row's tail needs no clearing, since column operations would touch
+    no other row once column 0 is clear.  A stage first looks for an
+    active entry that is a unit (coprime to M).  One found proves the
+    active gcd is 1: it becomes the pivot and each row below is cleared in
+    one pass with its factor row_i[0] / pivot mod M, so the stage factor is
+    the multiplier alone.  A stage with no unit runs classical elimination:
+    the gcd of the active submatrix and M is divided out of both and
+    re-applied as a multiplier to all later factors, and the smallest
+    nonzero entry is the pivot until its row and column clear.
     Non-units can still have gcd 1 with the modulus:
 
-    >>> _eliminate([[2, 3], [3, 4]], 6)[0]
+    >>> _eliminate([[2, 3], [3, 4]], 6)
     (1, 1)
-
-    Returns (factors, sign); over Z, sign * prod(factors) = det a.  The sign
-    tracks every swap and negation but means nothing over Z/M.
     """
-    n = len(a)
     mod = modulus
-    sign = 1
     factors: list[int] = []
     mult = 1
-    for k in range(n):
-        if mod:
-            unit = next(((i, j) for i in range(k, n) for j in range(k, n) if gcd(a[i][j], mod) == 1), None)
-            if unit:
-                sign *= _swap_to_pivot(a, k, *unit)
-                row_k = a[k]
-                inv = pow(row_k[k], -1, mod)
-                tail = row_k[k + 1 :]
-                for i in range(k + 1, n):
+    while a:
+        unit = next(((i, j) for i, row in enumerate(a) for j, v in enumerate(row) if gcd(v, mod) == 1), None)
+        if unit:
+            _swap_to_pivot(a, *unit)
+            inv = pow(a[0][0], -1, mod)
+            tail = a[0][1:]
+            for row_i in a[1:]:
+                v = row_i[0]
+                if v:
+                    f = v * inv % mod
+                    row_i[1:] = [(x - f * y) % mod for x, y in zip(row_i[1:], tail)]
+            factors.append(mult)
+        else:
+            # factor out the gcd of the active submatrix and the modulus
+            g = gcd(mod, *(v for row in a for v in row))
+            if g == mod:
+                # every active entry is 0 mod the modulus
+                factors.extend([mult * mod] * len(a))
+                break
+            if g > 1:
+                for row in a:
+                    row[:] = [v // g for v in row]
+                mod //= g
+            mult *= g
+            n = len(a)
+            while True:
+                # smallest nonzero entry becomes the pivot
+                pi = pj = -1
+                best = 0
+                for i in range(n):
+                    for j in range(n):
+                        v = a[i][j]
+                        if v and (best == 0 or v < best):
+                            best, pi, pj = v, i, j
+                _swap_to_pivot(a, pi, pj)
+                d = a[0][0]
+                dirty = False
+                row_0 = a[0]
+                for i in range(1, n):
                     row_i = a[i]
-                    v = row_i[k]
+                    v = row_i[0]
                     if v:
-                        f = v * inv % mod
-                        row_i[k + 1 :] = [(x - f * y) % mod for x, y in zip(row_i[k + 1 :], tail)]
-                        row_i[k] = 0
-                row_k[k + 1 :] = [0] * (n - k - 1)
-                factors.append(mult)
-                continue
-        # factor out the gcd of the active submatrix and the modulus
-        g = mod
-        for i in range(k, n):
-            for v in a[i][k:]:
-                if v:
-                    g = gcd(g, v)
-                    if g == 1:
+                        q = v // d
+                        if q:
+                            for j in range(n):
+                                row_i[j] = (row_i[j] - q * row_0[j]) % mod
+                        if row_i[0]:
+                            dirty = True
+                for j in range(1, n):
+                    v = row_0[j]
+                    if v:
+                        q = v // d
+                        if q:
+                            for row in a:
+                                row[j] = (row[j] - q * row[0]) % mod
+                        if row_0[j]:
+                            dirty = True
+                if dirty:
+                    continue
+                # pivot must divide every remaining entry, else pull the
+                # offending row up and restart the stage
+                offender = -1
+                for i in range(1, n):
+                    if any(v % d for v in a[i][1:]):
+                        offender = i
                         break
-            if g == 1:
-                break
-        if g == mod:
-            # every active entry is 0 mod the modulus (0 over Z)
-            factors.extend([mult * mod] * (n - k))
-            break
-        if g > 1:
-            for i in range(k, n):
-                row = a[i]
-                for j in range(k, n):
-                    row[j] //= g
-            mod //= g
-        mult *= g
-        while True:
-            # smallest nonzero entry becomes the pivot
-            pi = pj = -1
-            best = 0
-            for i in range(k, n):
-                for j in range(k, n):
-                    v = abs(a[i][j])
-                    if v and (best == 0 or v < best):
-                        best, pi, pj = v, i, j
-            sign *= _swap_to_pivot(a, k, pi, pj)
-            if a[k][k] < 0:
-                a[k] = [-v for v in a[k]]
-                sign = -sign
-            d = a[k][k]
-            dirty = False
-            row_k = a[k]
-            for i in range(k + 1, n):
-                row_i = a[i]
-                v = row_i[k]
-                if v:
-                    q = v // d
-                    if q:
-                        if mod:
-                            for j in range(k, n):
-                                row_i[j] = (row_i[j] - q * row_k[j]) % mod
-                        else:
-                            for j in range(k, n):
-                                row_i[j] -= q * row_k[j]
-                    if row_i[k]:
-                        dirty = True
-            for j in range(k + 1, n):
-                v = row_k[j]
-                if v:
-                    q = v // d
-                    if q:
-                        if mod:
-                            for i in range(k, n):
-                                row = a[i]
-                                row[j] = (row[j] - q * row[k]) % mod
-                        else:
-                            for i in range(k, n):
-                                row = a[i]
-                                row[j] -= q * row[k]
-                    if row_k[j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry, else pull the
-            # offending row up and restart the stage
-            offender = -1
-            for i in range(k + 1, n):
-                if any(v % d for v in a[i][k + 1 :]):
-                    offender = i
+                if offender < 0:
                     break
-            if offender < 0:
-                break
-            row_o = a[offender]
-            for j in range(k, n):
-                row_k[j] += row_o[j]
-        # the active gcd was divided out, so the pivot is a unit: 1 over Z
-        factors.append(mult * gcd(a[k][k], mod))
-    return tuple(factors), sign
+                row_o = a[offender]
+                for j in range(n):
+                    row_0[j] += row_o[j]
+            # the active gcd was divided out, so gcd(pivot, mod) is 1
+            factors.append(mult * gcd(a[0][0], mod))
+        del a[0]
+        for row in a:
+            del row[0]
+    return tuple(factors)
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Invariant factors of an integer matrix under unimodular row/column ops.
 
-    A nonsingular matrix of order n >= 2 takes one pass from its Bareiss
-    determinant (Saunders-Wan's small-modulus idea): the trailing block of
-    the elimination holds (n-1)-minors, so M = gcd(|det|, those minors) is
-    a multiple of r = d_1 ... d_(n-1), usually a small one.  Elimination
-    over Z/M then yields d_1 ... d_(n-1) exactly, d_n = |det| / r, and the
-    determinant gives the sign.  Entries stay below M throughout.  While
-    gcd(d_i, M) = 1 the active block almost always holds a unit mod M, so
-    stage i is one pivot inverse and one pass over the rows below; the
-    stages that yield d_i > 1, and the rare ones whose entries are all
-    non-units, run the gcd-division and Euclid fallback.  Singular
-    matrices and n < 2 run the same elimination over Z, where entry growth
-    on adversarial inputs is the known hazard; at the dimensions used here
-    (n <= 64) it is acceptable.
+    One Bareiss elimination gives the rank r and a nonzero r x r minor
+    ``lead`` (the determinant when r = n), and one elimination over Z/M
+    gives gcd(d_i, M) for each i (Saunders-Wan's small-modulus idea).  At
+    full rank the trailing block of the Bareiss elimination holds
+    (n-1)-minors, so M = gcd(|det|, those minors) is a multiple of
+    d_1 ... d_(n-1), usually a small one (M = |a| for a 1x1 matrix a); the
+    elimination yields d_1 ... d_(n-1) exactly, d_n = |det| / (d_1 ...
+    d_(n-1)), and the determinant gives the sign.  Below full rank M =
+    |lead|, which d_1 ... d_r divides, so the first r factors over Z/M are
+    d_1 ... d_r and the rest, which must read M, are 0; ``det_sign`` is 0.
+    Entries stay below M throughout.  While gcd(d_i, M) = 1 the active
+    block almost always holds a unit mod M, so stage i is one pivot inverse
+    and one pass over the rows below; the stages that yield d_i > 1, and
+    the rare ones whose entries are all non-units, run the gcd-division and
+    Euclid fallback.
     """
     if not m.is_square():
         raise ValueError("smith normal form of a non-square matrix")
     n = m.rows
-    if n >= 2:
-        det, minors = _bareiss(m.to_rows())
-        if det:
-            modulus = gcd(det, *minors)
-            head = _eliminate([[v % modulus for v in row] for row in m.to_rows()], modulus)[0]
-            dn, rem = divmod(abs(det), prod(head[:-1]))
-            if rem or head[-1] != gcd(dn, modulus) or dn % head[-2]:
-                raise InvariantViolation("modular invariant factors disagree with the Bareiss determinant")
-            return SnfResult(head[:-1] + (dn,), 1 if det > 0 else -1)
-    factors, sign = _eliminate(m.to_rows())
-    return SnfResult(factors, sign)
+    rank, lead, minors = _bareiss(m.to_rows())
+    if rank == 0:
+        # the empty matrix has det 1; a zero matrix has every d_i = 0
+        return SnfResult((0,) * n, 1 if n == 0 else 0)
+    modulus = gcd(lead, *minors) if rank == n else abs(lead)
+    factors = _eliminate([[v % modulus for v in row] for row in m.to_rows()], modulus)
+    if rank < n:
+        if any(d != modulus for d in factors[rank:]):
+            raise InvariantViolation("modular invariant factors disagree with the Bareiss rank")
+        return SnfResult(factors[:rank] + (0,) * (n - rank), 0)
+    dn, rem = divmod(abs(lead), prod(factors[:-1]))
+    if rem or factors[-1] != gcd(dn, modulus) or (n > 1 and dn % factors[-2]):
+        raise InvariantViolation("modular invariant factors disagree with the Bareiss determinant")
+    return SnfResult(factors[:-1] + (dn,), 1 if lead > 0 else -1)
 
 
 def rational_solve(m: IntMatrix, b: IntMatrix) -> list[list[Fraction]]:

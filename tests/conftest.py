@@ -1,4 +1,5 @@
 import dataclasses
+from math import gcd
 
 import pytest
 
@@ -127,6 +128,157 @@ def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
         cols[j] = tail
         tail = _adj_apply(adj, tail)
     return IntMatrix.from_rows(cols).transpose()
+
+
+# Invariant factors by elimination over Z (modulus 0), tracking the sign of
+# the determinant through every swap and negation: the reference the SNF
+# tests compare the library's one modular elimination against
+
+
+def _swap_to_pivot(a: list[list[int]], k: int, i: int, j: int) -> int:
+    """Move entry (i, j) to (k, k) by a row swap and a column swap of the
+    active block (rows k and below); returns the sign change, -1 per swap."""
+    sign = 1
+    if i != k:
+        a[k], a[i] = a[i], a[k]
+        sign = -sign
+    if j != k:
+        for row in a[k:]:
+            row[k], row[j] = row[j], row[k]
+        sign = -sign
+    return sign
+
+
+def eliminate_over_z(a: list[list[int]], modulus: int = 0) -> tuple[tuple[int, ...], int]:
+    """Invariant factors of the square matrix ``a`` over Z/modulus, in place.
+
+    ``modulus`` 0 means over Z.  With a modulus M the entries must come
+    reduced mod M, stay reduced mod the current modulus, and the factors are
+    gcd(d_i, M).  A stage over Z/M first looks for an active entry that is a
+    unit (coprime to the current modulus).  One found proves the active
+    gcd is 1: it is swapped to the pivot, each row below is cleared in one
+    pass with its factor row_i[k] / pivot mod M, and the pivot row's tail
+    is zeroed (column operations, which touch no other row once column k
+    is clear), so the stage factor is the multiplier alone.  A stage with
+    no unit, and every stage over Z, runs classical elimination: the gcd of
+    the active submatrix and the modulus is divided out of both and
+    re-applied as a multiplier to all later factors, which keeps entries
+    near the size of the factors, and the smallest nonzero entry is the
+    pivot until its row and column clear.
+    Non-units can still have gcd 1 with the modulus:
+
+    >>> eliminate_over_z([[2, 3], [3, 4]], 6)[0]
+    (1, 1)
+
+    Returns (factors, sign); over Z, sign * prod(factors) = det a.  The sign
+    tracks every swap and negation but means nothing over Z/M.
+    """
+    n = len(a)
+    mod = modulus
+    sign = 1
+    factors: list[int] = []
+    mult = 1
+    for k in range(n):
+        if mod:
+            unit = next(((i, j) for i in range(k, n) for j in range(k, n) if gcd(a[i][j], mod) == 1), None)
+            if unit:
+                sign *= _swap_to_pivot(a, k, *unit)
+                row_k = a[k]
+                inv = pow(row_k[k], -1, mod)
+                tail = row_k[k + 1 :]
+                for i in range(k + 1, n):
+                    row_i = a[i]
+                    v = row_i[k]
+                    if v:
+                        f = v * inv % mod
+                        row_i[k + 1 :] = [(x - f * y) % mod for x, y in zip(row_i[k + 1 :], tail)]
+                        row_i[k] = 0
+                row_k[k + 1 :] = [0] * (n - k - 1)
+                factors.append(mult)
+                continue
+        # factor out the gcd of the active submatrix and the modulus
+        g = mod
+        for i in range(k, n):
+            for v in a[i][k:]:
+                if v:
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+            if g == 1:
+                break
+        if g == mod:
+            # every active entry is 0 mod the modulus (0 over Z)
+            factors.extend([mult * mod] * (n - k))
+            break
+        if g > 1:
+            for i in range(k, n):
+                row = a[i]
+                for j in range(k, n):
+                    row[j] //= g
+            mod //= g
+        mult *= g
+        while True:
+            # smallest nonzero entry becomes the pivot
+            pi = pj = -1
+            best = 0
+            for i in range(k, n):
+                for j in range(k, n):
+                    v = abs(a[i][j])
+                    if v and (best == 0 or v < best):
+                        best, pi, pj = v, i, j
+            sign *= _swap_to_pivot(a, k, pi, pj)
+            if a[k][k] < 0:
+                a[k] = [-v for v in a[k]]
+                sign = -sign
+            d = a[k][k]
+            dirty = False
+            row_k = a[k]
+            for i in range(k + 1, n):
+                row_i = a[i]
+                v = row_i[k]
+                if v:
+                    q = v // d
+                    if q:
+                        if mod:
+                            for j in range(k, n):
+                                row_i[j] = (row_i[j] - q * row_k[j]) % mod
+                        else:
+                            for j in range(k, n):
+                                row_i[j] -= q * row_k[j]
+                    if row_i[k]:
+                        dirty = True
+            for j in range(k + 1, n):
+                v = row_k[j]
+                if v:
+                    q = v // d
+                    if q:
+                        if mod:
+                            for i in range(k, n):
+                                row = a[i]
+                                row[j] = (row[j] - q * row[k]) % mod
+                        else:
+                            for i in range(k, n):
+                                row = a[i]
+                                row[j] -= q * row[k]
+                    if row_k[j]:
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide every remaining entry, else pull the
+            # offending row up and restart the stage
+            offender = -1
+            for i in range(k + 1, n):
+                if any(v % d for v in a[i][k + 1 :]):
+                    offender = i
+                    break
+            if offender < 0:
+                break
+            row_o = a[offender]
+            for j in range(k, n):
+                row_k[j] += row_o[j]
+        # the active gcd was divided out, so the pivot is a unit: 1 over Z
+        factors.append(mult * gcd(a[k][k], mod))
+    return tuple(factors), sign
 
 
 @pytest.fixture(scope="session")

@@ -120,6 +120,17 @@ class TestSnfCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["snf"][-1] == "30" and data["n"] == 9
 
+    @pytest.mark.parametrize(
+        "graph6, snf", [("A_", ["1", "0"]), ("EhEG", ["1", "0", "0", "0", "0", "0"])]  # K_2 and C_6
+    )
+    def test_json_singular_walk_matrix_has_sign_zero(self, tmp_path, capsys, graph6, snf):
+        path = tmp_path / "g.g6"
+        path.write_text(graph6 + "\n")
+        assert main(["snf", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"n": len(snf), "det_W": "0", "snf": snf, "det_sign": 0}
+        assert '"det_W": "0"' in out and '"det_sign": 0}' in out
+
 
 class TestInvariantViolationExit:
     @staticmethod

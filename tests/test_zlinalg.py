@@ -1,4 +1,5 @@
 import functools
+from itertools import combinations
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -7,7 +8,7 @@ import sympy
 
 from dgscert.errors import InvariantViolation
 from dgscert.fixtures import dgs16_graph, mate9_graph
-from dgscert.graphcore import Xorshift64Star, derive_seed, random_graph
+from dgscert.graphcore import Graph, Xorshift64Star, derive_seed, random_graph
 from dgscert.zlinalg import (
     _TRIAL_BLOCK,
     _TRIAL_LIMIT,
@@ -24,7 +25,7 @@ from dgscert.zlinalg import (
     smith_normal_form,
     walk_matrix,
 )
-from conftest import seeded_corpus
+from conftest import eliminate_over_z, seeded_corpus
 
 B_FIXTURE = 3 * 23 * 29 * 1225550789 * 6442787651
 
@@ -172,17 +173,17 @@ class TestSmithNormalForm:
 
 
 class TestSmithNormalFormDifferential:
-    """The one-pass (modular) path against sympy and against the same
-    elimination run over Z, which is what singular inputs still use."""
+    """The one modular elimination against sympy and against the reference
+    elimination over Z in conftest."""
 
     @staticmethod
     def _over_z(m: IntMatrix) -> tuple[tuple[int, ...], int]:
-        return _eliminate(m.to_rows())
+        return eliminate_over_z(m.to_rows())
 
     @staticmethod
     def _modulus_and_r(m: IntMatrix) -> tuple[int, int]:
-        det, minors = _bareiss(m.to_rows())
-        return gcd(det, *minors), prod(_eliminate(m.to_rows())[0][:-1])
+        _, det, minors = _bareiss(m.to_rows())
+        return gcd(det, *minors), prod(eliminate_over_z(m.to_rows())[0][:-1])
 
     def test_sympy_oracle_singular_and_tiny_orders(self):
         from sympy.matrices.normalforms import invariant_factors
@@ -210,12 +211,58 @@ class TestSmithNormalFormDifferential:
             if determinant(m):
                 assert snf.det_sign * snf.abs_det() == determinant(m), rows
 
+    def test_singular_inputs_match_the_reference_and_sympy(self):
+        # rank-deficient products A B (inner dimension below n), the walk
+        # matrices of K_2, of the cycles (regular, so W has rank 1) and of
+        # the golden corpus's two NOT_CONTROLLABLE graphs (n = 10, k = 0 and 3)
+        from sympy.matrices.normalforms import invariant_factors
+
+        cases = []
+        for k in range(60):
+            n = 2 + k % 6
+            gen = Xorshift64Star(derive_seed(97, k))
+            r = gen.next_u64() % n
+            a = [[gen.next_u64() % 11 - 5 for _ in range(r)] for _ in range(n)]
+            b = [[gen.next_u64() % 11 - 5 for _ in range(n)] for _ in range(r)]
+            product = [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(n)] for i in range(n)]
+            cases.append(IntMatrix.from_rows(product))
+        graphs = [Graph.from_edges(2, [(0, 1)])]
+        graphs += [Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 21)]
+        graphs += [random_graph(10, derive_seed(20211018, 10, k)) for k in (0, 3)]
+        cases += [walk_matrix(g) for g in graphs]
+        for m in cases:
+            assert determinant(m) == 0
+            snf = smith_normal_form(m)
+            assert snf.factors == self._over_z(m)[0]
+            assert snf.factors == tuple(int(d) for d in invariant_factors(sympy.Matrix(m.to_rows())))
+            assert snf.det_sign == 0
+        assert smith_normal_form(cases[-1]).factors == (1, 1, 1, 1, 2, 2, 2, 2, 2766, 0)
+
+    def test_understated_rank_is_caught(self, monkeypatch):
+        import dgscert.zlinalg as mod
+
+        bareiss = mod._bareiss
+
+        def understated(rows):
+            rank, lead, minors = bareiss(rows)
+            return rank - 1, lead, minors
+
+        # rank 2, lead 4: over Z/4 the factors read (2, 2, 4), so a claimed
+        # rank of 1 leaves a factor 2 where M = 4 must stand
+        m = IntMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 0]])
+        assert smith_normal_form(m).factors == (2, 2, 0)
+        monkeypatch.setattr(mod, "_bareiss", understated)
+        with pytest.raises(InvariantViolation):
+            smith_normal_form(m)
+
     def test_walk_matrices_match_over_z(self):
         # n = 48 is the order of the benchmark's snf_large workload
         for n in [*range(4, 41), 48]:
             w = walk_matrix(random_graph(n, derive_seed(83, n)))
             snf = smith_normal_form(w)
-            assert (snf.factors, snf.det_sign) == self._over_z(w), n
+            factors, sign = self._over_z(w)
+            # the reference's sign is a swap parity when W is singular
+            assert (snf.factors, snf.det_sign) == (factors, sign if snf.dn else 0), n
             assert snf.det_sign * snf.abs_det() == determinant(w)
 
     def test_modulus_above_r(self):
@@ -246,7 +293,7 @@ class TestSmithNormalFormDifferential:
         m = IntMatrix.from_rows([[2, 0, 0], [0, 6, 0], [0, 0, 36]])
         for modulus in (1, 2, 4, 9, 12, 72):
             rows = [[v % modulus for v in row] for row in m.to_rows()]
-            factors, _ = _eliminate(rows, modulus)
+            factors = _eliminate(rows, modulus)
             assert factors == tuple(gcd(d, modulus) for d in (2, 6, 36)), modulus
 
     def test_modular_elimination_unit_and_fallback_stages(self):
@@ -265,7 +312,7 @@ class TestSmithNormalFormDifferential:
         unit_stages = fallback_stages = 0
         for rows, modulus in cases:
             reduced = [[v % modulus for v in row] for row in rows]
-            factors, _ = _eliminate([row[:] for row in reduced], modulus)
+            factors = _eliminate([row[:] for row in reduced], modulus)
             expected = tuple(gcd(int(d), modulus) for d in invariant_factors(sympy.Matrix(rows)))
             assert factors == expected, (rows, modulus)
             unit_stages += any(gcd(v, modulus) == 1 for row in reduced for v in row)
@@ -278,8 +325,8 @@ class TestSmithNormalFormDifferential:
         bareiss = mod._bareiss
 
         def doubled(rows):
-            det, minors = bareiss(rows)
-            return 2 * det, minors
+            rank, det, minors = bareiss(rows)
+            return rank, 2 * det, minors
 
         monkeypatch.setattr(mod, "_bareiss", doubled)
         with pytest.raises(InvariantViolation):
@@ -287,12 +334,31 @@ class TestSmithNormalFormDifferential:
 
     def test_bareiss_trailing_minors(self):
         m = IntMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
-        det, minors = _bareiss(m.to_rows())
+        rank, det, minors = _bareiss(m.to_rows())
         # minors on rows {0, i} and columns {0, j}, i, j in {1, 2}
-        assert det == 18 and minors == (5, 2, 2, 8)
-        assert _bareiss([[3, 4], [5, 6]]) == (-2, (3, 4, 5, 6))
-        assert _bareiss([[7]]) == (7, ())
-        assert _bareiss([]) == (1, ())
+        assert rank == 3 and det == 18 and minors == (5, 2, 2, 8)
+        assert _bareiss([[3, 4], [5, 6]]) == (2, -2, (3, 4, 5, 6))
+        assert _bareiss([[7]]) == (1, 7, ())
+        assert _bareiss([]) == (0, 1, ())
+
+    def test_bareiss_rank_with_column_swaps(self):
+        # each pivot column runs out of nonzero entries below the diagonal
+        # before the rank does, so a later column must be swapped in
+        cases = [
+            [[0, 1], [0, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 1, 2], [0, 3, 4], [0, 5, 7]],
+        ]
+        for rows in cases:
+            rank, lead, _ = _bareiss([row[:] for row in rows])
+            assert rank == sympy.Matrix(rows).rank(), rows
+            # lead is, up to sign, a nonzero rank x rank minor
+            assert lead != 0 and abs(lead) in {
+                abs(sympy.Matrix(rows).extract(r, c).det())
+                for r in combinations(range(len(rows)), rank)
+                for c in combinations(range(len(rows)), rank)
+            }, rows
+        assert _bareiss([[0, 1], [0, 0]])[:2] == (1, -1)
 
 
 class TestWalkMatrixTheorems:
@@ -604,8 +670,9 @@ def test_doctests():
     import dgscert.zlinalg
 
     results = doctest.testmod(dgscert.zlinalg)
-    # char_poly_int and _eliminate carry one example each, _brent_rho three
-    assert results.failed == 0 and results.attempted >= 5
+    # _bareiss, char_poly_int and _eliminate carry one example each,
+    # _brent_rho three
+    assert results.failed == 0 and results.attempted >= 6
     results = doctest.testmod(dgscert.fpalg)
     # _charpoly_hessenberg carries one
     assert results.failed == 0 and results.attempted >= 1
