@@ -124,9 +124,10 @@ def recover_q(g_first: Graph, g_second: Graph) -> RationalOrthogonal:
         raise ValueError("graphs have different orders")
     if spectrum_key(g_first) != spectrum_key(g_second):
         raise ValueError("graphs are not generalized cospectral")
+    wg_t, wh_t = walk_matrix(g_first).transpose(), walk_matrix(g_second).transpose()
     try:
-        q_rows = rational_solve(walk_matrix(g_first).transpose(), walk_matrix(g_second).transpose())
-    except ValueError as exc:  # both systems are n x n, so only a singular W(first) raises
+        q_rows = rational_solve(wg_t, wh_t)
+    except ValueError as exc:  # both are n x n, so only a singular W(first) raises
         raise ValueError("first graph is not controllable") from exc
     level = 1
     for row in q_rows:
