@@ -77,6 +77,15 @@ def _certify_sample(args: tuple[int, int, str]) -> tuple[bool, bool, str]:
     return bool(verdict.dn_squarefree()), verdict.sqf_check == SQF_PASS, verdict.status
 
 
+def _check_run(effort: str, samples: int, jobs: int) -> None:
+    """Raise ValueError for an unknown effort, negative samples or jobs < 1."""
+    _check_effort(effort)
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def _pooled_map(fn, items, jobs: int):
     # a fork-based pool starts all of its workers at the first submit, so
     # never ask for more than there are items
@@ -95,9 +104,9 @@ def run_experiment(
     The time limit is checked between orders: the order running when it
     expires still completes.
     """
-    _check_effort(effort)
-    if samples < 0:
-        raise ValueError(f"samples must be non-negative, got {samples}")
+    _check_run(effort, samples, jobs)
+    if time_limit is not None and not time_limit >= 0:  # NaN too
+        raise ValueError(f"time limit must be non-negative, got {time_limit}")
     rows = []
     start = time.monotonic()
     truncated = False
@@ -184,9 +193,7 @@ def run_conjecture_scan(n_list, samples: int, seed: int, effort: str = "default"
     characteristic polynomial) merely produce findings, because a genuine
     violation is a result worth publishing, not a test failure.
     """
-    _check_effort(effort)
-    if samples < 0:
-        raise ValueError(f"samples must be non-negative, got {samples}")
+    _check_run(effort, samples, jobs)
     rows = []
     for n in n_list:
         items = [(n, derive_seed(seed, n, k), effort) for k in range(samples)]

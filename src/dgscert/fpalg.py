@@ -74,23 +74,6 @@ class ModPoly:
         if self.p != other.p:
             raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
 
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        self._need_same_field(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = (out[i] + v) % self.p
-        return ModPoly(self.p, _trim(out))
-
-    def __sub__(self, other: "ModPoly") -> "ModPoly":
-        self._need_same_field(other)
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, v in enumerate(other.coeffs):
-            out[i] = (out[i] - v) % self.p
-        return ModPoly(self.p, _trim(out))
-
     def __mul__(self, other: "ModPoly") -> "ModPoly":
         self._need_same_field(other)
         if self.is_zero() or other.is_zero():

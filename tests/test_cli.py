@@ -289,6 +289,17 @@ class TestTable1Command:
         assert main(["table1", "--n-list", "8", "--samples", "-1"]) == 1
         assert "samples must be non-negative" in capsys.readouterr().err
 
+    def test_jobs_below_one_is_input_error(self, capsys):
+        assert main(["table1", "--n-list", "8", "--samples", "2", "--jobs", "-4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "jobs must be at least 1" in captured.err
+
+    def test_negative_time_limit_is_input_error(self, capsys):
+        for limit in ("-1", "nan"):
+            assert main(["table1", "--n-list", "8", "--samples", "2", "--time-limit", limit]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "time limit must be non-negative" in captured.err
+
 
 class TestConjectureScanCommand:
     def test_runs_clean(self, capsys):
@@ -301,6 +312,11 @@ class TestConjectureScanCommand:
         assert main(["conjecture-scan", "--n-list", "9", "--samples", "-1", "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "samples must be non-negative" in captured.err
+
+    def test_zero_jobs_is_input_error(self, capsys):
+        assert main(["conjecture-scan", "--n-list", "9", "--samples", "2", "--jobs", "0", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "jobs must be at least 1" in captured.err
 
 
 class TestHarnessFunctions:

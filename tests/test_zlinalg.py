@@ -297,12 +297,13 @@ class TestSmithNormalFormDifferential:
             assert factors == tuple(gcd(d, modulus) for d in (2, 6, 36)), modulus
 
     def test_modular_elimination_unit_and_fallback_stages(self):
-        # A stage with a unit mod M (some entry coprime to M) takes the
-        # one-pass unit pivot; a stage without one takes the gcd-division and
-        # Euclid fallback.  The first two inputs have no unit at all (one of
-        # them still has gcd 1 with M).  Among the random ones, any factor
-        # above 1 came from a stage whose block held no unit, and any input
-        # with a unit entry opened with a unit stage; both must occur.
+        # A stage with a unit mod M (some entry coprime to M) pivots on it
+        # at once; a block without one first has its gcd with M divided
+        # out, or M split into coprime parts, until it holds a unit.  The
+        # first two inputs have no unit at all (one of them still has gcd 1
+        # with M).  Among the random ones, any factor above 1 came from a
+        # block that held no unit, and any input with a unit entry opened
+        # with a unit stage; both must occur.
         from sympy.matrices.normalforms import invariant_factors
 
         cases = [([[2, 3], [3, 4]], 6), ([[2, 3, 0], [3, 4, 6], [0, 6, 8]], 12)]
@@ -318,6 +319,60 @@ class TestSmithNormalFormDifferential:
             unit_stages += any(gcd(v, modulus) == 1 for row in reduced for v in row)
             fallback_stages += any(d > 1 for d in factors)
         assert unit_stages >= 10 and fallback_stages >= 10
+
+    def test_modular_elimination_splits_multi_prime_moduli(self, monkeypatch):
+        # Blocks with no unit mod M: every entry is a multiple of a prime of
+        # M.  A block whose gcd with M is 1 is eliminated mod the two coprime
+        # parts of M; with three or more primes a part can again hold no
+        # unit and split once more.  The call depth counts the nesting.
+        import dgscert.zlinalg as mod
+        from sympy.matrices.normalforms import invariant_factors
+
+        eliminate = mod._eliminate
+        depth = deepest = 0
+
+        def tracked(a, modulus):
+            nonlocal depth, deepest
+            depth += 1
+            deepest = max(deepest, depth)
+            try:
+                return eliminate(a, modulus)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(mod, "_eliminate", tracked)
+        # 30 splits at 6 into 6 * 5, and [[0, 4], [3, 0]] mod 6 splits again
+        cases = [([[6, 10], [15, 6]], 30)]
+        # 3 to 6 distinct primes, then prime powers, where a common factor
+        # divided out of the block leaves the prime in M
+        moduli = (30, 210, 2310, 30030, 2**3 * 3**2 * 5 * 7, 3**3 * 5**2 * 7 * 11)
+        gen = Xorshift64Star(101)
+        for modulus in moduli:
+            primes = [p for p in (2, 3, 5, 7, 11, 13) if modulus % p == 0]
+            for k in range(12):
+                n = 2 + gen.next_u64() % 4
+                # every third block shares one prime of M in all its entries
+                scale = primes[k // 3 % len(primes)] if k % 3 == 0 else 1
+                pick = [scale * primes[gen.next_u64() % len(primes)] for _ in range(n * n)]
+                rows = [[pick[i * n + j] * gen.next_u64() % modulus for j in range(n)] for i in range(n)]
+                cases.append((rows, modulus))
+        splits = nested = 0
+        for rows, modulus in cases:
+            deepest = 0
+            factors = mod._eliminate([row[:] for row in rows], modulus)
+            splits += deepest >= 2
+            nested += deepest >= 3
+            expected = tuple(gcd(int(d), modulus) for d in invariant_factors(sympy.Matrix(rows)))
+            assert factors == expected == eliminate_over_z([row[:] for row in rows], modulus)[0], (rows, modulus)
+        assert splits >= 10 and nested >= 3
+
+    def test_failed_split_is_an_invariant_violation(self, monkeypatch):
+        import dgscert.zlinalg as mod
+
+        # [[2, 3], [3, 4]] mod 6 has no unit and gcd 1 with 6, so only a split can go on
+        monkeypatch.setattr(mod, "_coprime_split", lambda modulus, v: (modulus, 1))
+        with pytest.raises(InvariantViolation, match="no active entry splits the modulus 6"):
+            _eliminate([[2, 3], [3, 4]], 6)
 
     def test_determinant_disagreeing_with_the_factors_is_caught(self, monkeypatch):
         import dgscert.zlinalg as mod
@@ -670,9 +725,9 @@ def test_doctests():
     import dgscert.zlinalg
 
     results = doctest.testmod(dgscert.zlinalg)
-    # _bareiss, char_poly_int and _eliminate carry one example each,
-    # _brent_rho three
-    assert results.failed == 0 and results.attempted >= 6
+    # _bareiss, char_poly_int, _coprime_split and _eliminate carry one
+    # example each, _brent_rho three
+    assert results.failed == 0 and results.attempted >= 7
     results = doctest.testmod(dgscert.fpalg)
     # _charpoly_hessenberg carries one
     assert results.failed == 0 and results.attempted >= 1
