@@ -21,7 +21,7 @@ from .certify import (
     certify_dgs,
 )
 from .errors import InvariantViolation, _on_graph
-from .graphcore import derive_seed, emit_graph6, random_graph
+from .graphcore import MAX_VERTICES, derive_seed, emit_graph6, random_graph
 from .zlinalg import _check_effort, _odd_part, factor_integer, smith_normal_form, walk_matrix
 
 
@@ -77,8 +77,12 @@ def _certify_sample(args: tuple[int, int, str]) -> tuple[bool, bool, str]:
     return bool(verdict.dn_squarefree()), verdict.sqf_check == SQF_PASS, verdict.status
 
 
-def _check_run(effort: str, samples: int, jobs: int) -> None:
-    """Raise ValueError for an unknown effort, negative samples or jobs < 1."""
+def _check_run(n_list: list[int], effort: str, samples: int, jobs: int) -> None:
+    """Raise ValueError for an order outside 1..MAX_VERTICES, an unknown
+    effort, negative samples or jobs < 1."""
+    for n in n_list:
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside supported range 1..{MAX_VERTICES}")
     _check_effort(effort)
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -104,7 +108,8 @@ def run_experiment(
     The time limit is checked between orders: the order running when it
     expires still completes.
     """
-    _check_run(effort, samples, jobs)
+    n_list = list(n_list)
+    _check_run(n_list, effort, samples, jobs)
     if time_limit is not None and not time_limit >= 0:  # NaN too
         raise ValueError(f"time limit must be non-negative, got {time_limit}")
     rows = []
@@ -193,7 +198,8 @@ def run_conjecture_scan(n_list, samples: int, seed: int, effort: str = "default"
     characteristic polynomial) merely produce findings, because a genuine
     violation is a result worth publishing, not a test failure.
     """
-    _check_run(effort, samples, jobs)
+    n_list = list(n_list)
+    _check_run(n_list, effort, samples, jobs)
     rows = []
     for n in n_list:
         items = [(n, derive_seed(seed, n, k), effort) for k in range(samples)]

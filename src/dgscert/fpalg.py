@@ -1,12 +1,14 @@
 """Univariate polynomials over F_p for odd primes p, and the characteristic
-polynomial of a matrix over F_p.
+polynomial of a matrix over F_p as one of them.
 
 Polynomials are dense coefficient tuples in ascending order (index =
 degree), always canonical: residues in [0, p) and no zero leading
 coefficient.  Degrees never exceed the 64-vertex cap, so naive arithmetic
 is the right tool.  The modulus may be any odd prime: Python integers are
-unbounded, so a 200-bit prime costs only the wider arithmetic.  The 2-adic
-side of the theory is handled by integer arithmetic elsewhere.
+unbounded, so a 200-bit prime costs only the wider arithmetic.  The
+characteristic polynomial comes from ``zlinalg``'s Hessenberg kernel, the
+one ``char_poly_int`` also runs.  The 2-adic side of the theory is handled
+by integer arithmetic elsewhere.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .zlinalg import IntMatrix, is_prime
+from .zlinalg import IntMatrix, _charpoly_hessenberg, is_prime
 
 
 # a corpus run checks a few primes per graph; the cache need only hold the
@@ -152,6 +154,9 @@ def format_poly(f: ModPoly) -> str:
     """Render in descending powers with residues in [0, p), e.g. "x^4+2x^3+x".
 
     This is the display format used in JSON reports and CLI output.
+
+    >>> format_poly(ModPoly.make(3, [0, 1, 0, 2, 1]))
+    'x^4+2x^3+x'
     """
     if f.is_zero():
         return "0"
@@ -260,76 +265,11 @@ def sqrt_poly(f: ModPoly) -> ModPoly:
 # characteristic polynomial over F_p
 
 
-def _reduced_rows(m: IntMatrix, p: int) -> list[list[int]]:
-    return [[v % p for v in row] for row in m.to_rows()]
-
-
-def _charpoly_hessenberg(h: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial of a square matrix over F_p, ascending.
-
-    The rows ``h`` must hold residues mod p and are overwritten.  A similarity
-    transform first brings the matrix to upper Hessenberg form H: for each
-    column k, any nonzero entry below the subdiagonal is swapped (row and
-    column) to (k+1, k), the entries below it are cleared with its inverse,
-    and the inverse column operation keeps the transform a similarity.
-    The polynomials p_m of the leading m x m blocks of H then follow from
-
-        p_m = (x - h[m-1][m-1]) p_(m-1)
-              - sum_i h[i][m-1] h[i+1][i] ... h[m-1][m-2] p_i,
-
-    where a zero subdiagonal entry ends the product, so O(n^3) in all.
-
-    >>> _charpoly_hessenberg([[0, 1], [1, 0]], 3)
-    [2, 0, 1]
-    """
-    n = len(h)
-    for k in range(n - 2):
-        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
-        if piv is None:
-            continue
-        j = k + 1
-        if piv != j:
-            h[j], h[piv] = h[piv], h[j]
-            for row in h:
-                row[j], row[piv] = row[piv], row[j]
-        tail = h[j][k:]
-        inv = pow(tail[0], -1, p)
-        mults = []
-        for i in range(k + 2, n):
-            row_i = h[i]
-            v = row_i[k]
-            if v:
-                f = v * inv % p
-                row_i[k:] = [(x - f * y) % p for x, y in zip(row_i[k:], tail)]
-                mults.append((i, f))
-        if mults:
-            # row_i -= f row_j for each i is undone by col_j += f col_i
-            for row in h:
-                row[j] = (row[j] + sum(f * row[i] for i, f in mults)) % p
-    polys = [[1]]
-    for m in range(n):
-        prev = polys[m]
-        a = h[m][m]
-        new = [0] + prev
-        for d, c in enumerate(prev):
-            new[d] -= a * c
-        t = 1
-        for i in range(m - 1, -1, -1):
-            t = t * h[i + 1][i] % p
-            if not t:
-                break
-            c = t * h[i][m] % p
-            if c:
-                for d, v in enumerate(polys[i]):
-                    new[d] -= c * v
-        polys.append([v % p for v in new])
-    return polys[n]
-
-
 def char_poly_mod_p(m: IntMatrix, p: int) -> ModPoly:
     """Characteristic polynomial det(xI - m) over F_p, in O(n^3) field
     operations by reduction to Hessenberg form; 1 for the 0 x 0 matrix."""
     _check_modulus(p)
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    return ModPoly(p, tuple(_charpoly_hessenberg(_reduced_rows(m, p), p)))
+    rows = [[v % p for v in row] for row in m.to_rows()]
+    return ModPoly(p, tuple(_charpoly_hessenberg(rows, p)))

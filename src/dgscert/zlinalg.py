@@ -1,9 +1,10 @@
 """Exact integer matrix algebra and number-theory utilities.
 
 Everything here is exact: matrices hold arbitrary-precision Python integers,
-determinants and ranks come from fraction-free elimination, the integer
-characteristic polynomial from a division-free recurrence (``fpalg`` has its
-own Hessenberg route over F_p), and the Smith normal form of every square
+determinants and ranks come from fraction-free elimination, characteristic
+polynomials from one Hessenberg kernel over Z/p (over Z it runs once modulo
+a prime above twice the Hadamard bound of the coefficients, whose residues
+are lifted to the symmetric range), and the Smith normal form of every square
 matrix from one elimination modulo a multiple of d_1 ... d_r that the
 determinant's elimination supplies (r the rank): a small multiple of
 d_1 ... d_(n-1) at full rank, a nonzero r x r minor below it.  Each stage
@@ -204,52 +205,96 @@ def determinant(m: IntMatrix) -> int:
     return lead if rank == m.rows else 0
 
 
-def _charpoly_berkowitz(rows: list[list[int]]) -> list[int]:
-    """Characteristic polynomial of a square integer matrix, ascending
-    coefficients; [1] for the 0 x 0 matrix.
+def _charpoly_hessenberg(h: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial of a square matrix over Z/p, ascending.
 
-    Division-free (Berkowitz): the polynomial of each leading principal
-    submatrix is obtained from the previous one by a Toeplitz product whose
-    entries are walk sums of the new border row and column.  O(n^4)
-    integer operations; over F_p, ``fpalg.char_poly_mod_p`` uses the
-    O(n^3) Hessenberg route instead.
+    The rows ``h`` must hold residues mod p and are overwritten.  A similarity
+    transform first brings the matrix to upper Hessenberg form H: for each
+    column k, any nonzero entry below the subdiagonal is swapped (row and
+    column) to (k+1, k), the entries below it are cleared with its inverse,
+    and the inverse column operation keeps the transform a similarity.
+    The polynomials p_m of the leading m x m blocks of H then follow from
+
+        p_m = (x - h[m-1][m-1]) p_(m-1)
+              - sum_i h[i][m-1] h[i+1][i] ... h[m-1][m-2] p_i,
+
+    where a zero subdiagonal entry ends the product, so O(n^3) in all.  Only
+    the pivots are inverted, so p need not be prime (see ``char_poly_int``).
+
+    >>> _charpoly_hessenberg([[0, 1], [1, 0]], 3)
+    [2, 0, 1]
     """
-    n = len(rows)
-    if n == 0:
-        return [1]
-    poly = [1, -rows[0][0]]  # descending coefficients, leading first
-    for m in range(1, n):
-        a = rows[m][m]
-        r = rows[m][:m]
-        c = [rows[i][m] for i in range(m)]
-        sub = [row[:m] for row in rows[:m]]
-        seq = [1, -a]
-        v = c
-        for step in range(m):
-            seq.append(-sum(r[t] * v[t] for t in range(m)))
-            if step < m - 1:
-                v = [sum(sub[i][t] * v[t] for t in range(m)) for i in range(m)]
-        new = [0] * (m + 2)
-        for j, pj in enumerate(poly):
-            if pj:
-                top = min(j + len(seq), m + 2)
-                for i in range(j, top):
-                    new[i] += seq[i - j] * pj
-        poly = new
-    poly.reverse()
-    return poly
+    n = len(h)
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        j = k + 1
+        if piv != j:
+            h[j], h[piv] = h[piv], h[j]
+            for row in h:
+                row[j], row[piv] = row[piv], row[j]
+        tail = h[j][k:]
+        inv = pow(tail[0], -1, p)
+        mults = []
+        for i in range(k + 2, n):
+            row_i = h[i]
+            v = row_i[k]
+            if v:
+                f = v * inv % p
+                row_i[k:] = [(x - f * y) % p for x, y in zip(row_i[k:], tail)]
+                mults.append((i, f))
+        if mults:
+            # row_i -= f row_j for each i is undone by col_j += f col_i
+            for row in h:
+                row[j] = (row[j] + sum(f * row[i] for i, f in mults)) % p
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        a = h[m][m]
+        new = [0] + prev
+        for d, c in enumerate(prev):
+            new[d] -= a * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            c = t * h[i][m] % p
+            if c:
+                for d, v in enumerate(polys[i]):
+                    new[d] -= c * v
+        polys.append([v % p for v in new])
+    return polys[n]
 
 
 def char_poly_int(m: IntMatrix) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - m), ascending coefficients;
     (1,) for the 0 x 0 matrix.
 
+    The coefficient of x^k is (-1)^(n-k) times the sum of the principal
+    minors of order n - k.  By Hadamard's inequality a minor is at most the
+    product of its rows' Euclidean norms r_i, so |c_k| is at most the
+    product of 1 + r_i over the rows, and so at most ``bound``, the product
+    of 2 + isqrt(r_i^2).  The Hessenberg kernel runs once over Z/q for the
+    first q >= 2 bound + 1 that ``is_prime`` accepts, and each residue above
+    ``bound`` is lifted to c - q.  The result does not rest on q being
+    prime: every step of the kernel is an elementary similarity and its
+    recurrence has no division, so it is exact over Z/q whenever each pivot
+    is invertible, and a pivot that is not makes ``pow(x, -1, q)`` raise.
+
     >>> char_poly_int(IntMatrix.from_rows([[0, 1], [1, 0]]))
     (-1, 0, 1)
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    return tuple(_charpoly_berkowitz(m.to_rows()))
+    rows = m.to_rows()
+    bound = prod(2 + isqrt(sum(v * v for v in row)) for row in rows)
+    q = 2 * bound + 1
+    while not is_prime(q):
+        q += 2  # q stays odd
+    coeffs = _charpoly_hessenberg([[v % q for v in row] for row in rows], q)
+    return tuple(c - q if c > bound else c for c in coeffs)
 
 
 def _swap_to_pivot(a: list[list[int]], i: int, j: int) -> None:

@@ -300,6 +300,12 @@ class TestTable1Command:
             captured = capsys.readouterr()
             assert captured.out == "" and "time limit must be non-negative" in captured.err
 
+    def test_order_out_of_range_is_input_error(self, capsys):
+        # no graph is drawn with --samples 0, so the order must be checked first
+        assert main(["table1", "--n-list", "8,70", "--samples", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "vertex count 70 outside supported range 1..64" in captured.err
+
 
 class TestConjectureScanCommand:
     def test_runs_clean(self, capsys):
@@ -317,6 +323,11 @@ class TestConjectureScanCommand:
         assert main(["conjecture-scan", "--n-list", "9", "--samples", "2", "--jobs", "0", "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "jobs must be at least 1" in captured.err
+
+    def test_order_out_of_range_is_input_error(self, capsys):
+        assert main(["conjecture-scan", "--n-list", "0", "--samples", "0", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "vertex count 0 outside supported range 1..64" in captured.err
 
 
 class TestHarnessFunctions:

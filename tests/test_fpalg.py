@@ -309,7 +309,8 @@ class TestCharPolyModP:
         assert f.is_monic() and f.degree == 16
 
     def test_matches_reduced_integer_charpoly(self):
-        # the integer Berkowitz charpoly reduced mod p is the replaced route
+        # one kernel, two moduli: over the small primes here and over the
+        # large prime char_poly_int lifts from, reduced mod each small prime
         for n in range(13):
             for k in range(12):
                 rows = _sparse_matrix(n, derive_seed(71, n, k))

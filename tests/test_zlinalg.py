@@ -90,14 +90,24 @@ class TestCharPolyInt:
         assert char_poly_int(IntMatrix.from_rows(p3.adjacency())) == (0, -2, 0, 1)
 
     def test_evaluation_matches_determinant(self):
-        # chi(x) = det(xI - A) checked pointwise against the independent
-        # Bareiss determinant
-        for i in range(10):
-            m = _random_int_matrix(4, derive_seed(23, i), -3, 3)
+        # chi(x) = det(xI - A) checked against the independent Bareiss
+        # determinant at n + 1 points, which pins a polynomial of degree n.
+        # At n = 64 and at entries near 10**30 the modulus char_poly_int
+        # lifts from lies above the deterministic Miller-Rabin range
+        matrices = [_random_int_matrix(4, derive_seed(23, i), -3, 3) for i in range(10)]
+        for n in (20, 30, 64):
+            g = random_graph(n, derive_seed(20211018, n, 0))
+            matrices += [IntMatrix.from_rows(g.adjacency()), IntMatrix.from_rows(g.complement().adjacency())]
+        for i, n in enumerate((1, 2, 5, 8)):
+            near = _random_int_matrix(n, derive_seed(24, i))
+            matrices.append(IntMatrix(n, n, tuple(10**30 * (-1) ** (v % 2) + v for v in near.entries)))
+        for m in matrices:
+            n = m.rows
             coeffs = char_poly_int(m)
-            for x in range(-2, 3):
+            assert len(coeffs) == n + 1
+            for x in range(-(n // 2), n - n // 2 + 1):
                 shifted = IntMatrix.from_rows(
-                    [[x * (1 if r == c else 0) - m.at(r, c) for c in range(4)] for r in range(4)]
+                    [[x * (1 if r == c else 0) - m.at(r, c) for c in range(n)] for r in range(n)]
                 )
                 assert sum(c * x**k for k, c in enumerate(coeffs)) == determinant(shifted)
 
@@ -725,11 +735,11 @@ def test_doctests():
     import dgscert.zlinalg
 
     results = doctest.testmod(dgscert.zlinalg)
-    # _bareiss, char_poly_int, _coprime_split and _eliminate carry one
-    # example each, _brent_rho three
-    assert results.failed == 0 and results.attempted >= 7
+    # _bareiss, _charpoly_hessenberg, char_poly_int, _coprime_split and
+    # _eliminate carry one example each, _brent_rho three
+    assert results.failed == 0 and results.attempted >= 8
     results = doctest.testmod(dgscert.fpalg)
-    # _charpoly_hessenberg carries one
+    # format_poly carries one
     assert results.failed == 0 and results.attempted >= 1
     results = doctest.testmod(dgscert.certify)
     # _check_schema carries one
