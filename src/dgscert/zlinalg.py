@@ -1,13 +1,18 @@
 """Exact integer matrix algebra and number-theory utilities.
 
-Everything here is exact: matrices hold arbitrary-precision Python integers,
-determinants and ranks come from fraction-free elimination, characteristic
-polynomials from one Hessenberg kernel over Z/p (over Z it runs once modulo
-a prime above twice the Hadamard bound of the coefficients, whose residues
-are lifted to the symmetric range), and the Smith normal form of every square
-matrix from one elimination modulo a multiple of d_1 ... d_r that the
-determinant's elimination supplies (r the rank): a small multiple of
-d_1 ... d_(n-1) at full rank, a nonzero r x r minor below it.  Each stage
+Everything here is exact: matrices hold arbitrary-precision Python integers.
+Determinants and ranks come from one two-step Bareiss fraction-free
+elimination: each active entry is updated once per two pivots with one exact
+division, and a one-step stage runs where the next leading minor is 0 or
+a two-step pass would skip the trailing (n-1)-minors.  Only the rank, the
+leading minor and those trailing minors are returned, so entries outside
+the active block are left stale.  Characteristic
+polynomials come from one Hessenberg kernel over Z/p (over Z it runs once
+modulo a prime above twice the Hadamard bound of the coefficients, whose
+residues are lifted to the symmetric range), and the Smith normal form of
+every square matrix from one elimination modulo a multiple of d_1 ... d_r
+that the determinant's elimination supplies (r the rank): a small multiple
+of d_1 ... d_(n-1) at full rank, a nonzero r x r minor below it.  Each stage
 of that modular elimination pivots on a unit mod the modulus when the active
 block has one and clears its column in one row pass; a block without one
 has its gcd with the modulus divided out, or the modulus split into coprime
@@ -146,59 +151,106 @@ def walk_matrix(g: Graph) -> IntMatrix:
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
-    """Bareiss fraction-free elimination in place: (rank, lead, trailing minors).
+    """Two-step Bareiss fraction-free elimination in place: (rank, lead,
+    trailing minors).
 
     Every division performed is exact, so intermediate entries stay at the
-    size of minors of the input rather than exploding exponentially.  After
-    stage k each entry (i, j) of the active block is the minor on rows
-    0..k, i and columns 0..k, j of the permuted matrix (Sylvester's
-    identity).  A stage swaps columns only when its pivot column is zero
-    from the diagonal down, which never happens for a nonsingular input; an
-    all-zero active block ends the elimination at rank r.  ``lead`` is the
-    leading r x r minor of the permuted matrix times the sign of the swaps,
-    so it is det when r = n.  The trailing 2x2 block after stage n-3 holds
-    four (n-1)-minors; they are the third item (the four entries when
-    n = 2, empty when n < 2 or when the rank proves short before that
-    stage).
+    size of minors of the input rather than exploding exponentially.  At
+    stage t each entry (i, j) of the active block (rows and columns t and
+    up) is the minor on rows 0..t-1, i and columns 0..t-1, j of the permuted
+    matrix, and ``prev`` is the leading t x t minor (Sylvester's identity).
+    A stage first swaps rows when a[t][t] = 0; it swaps columns only when
+    its pivot column is zero from the diagonal down, which never happens for
+    a nonsingular input, and an all-zero active block ends the elimination
+    at rank r.  With pivot p0 = a[t][t] and the next leading minor
+
+        p1 = (p0 a[t+1][t+1] - a[t+1][t] a[t][t+1]) / prev,
+
+    a stage with p1 != 0 and t + 3 < n eliminates two pivots in one pass
+    (Bareiss's two-step method): each row i >= t+2 takes the cofactors
+
+        b_i = (p0 a[i][t+1] - a[i][t] a[t][t+1]) / prev,
+        e_i = (a[t+1][t] a[i][t+1] - a[t+1][t+1] a[i][t]) / prev,
+
+    and its tail j >= t+2 becomes (p1 a[i][j] + e_i a[t][j] - b_i a[t+1][j])
+    / prev, the 3x3 minor on rows t, t+1, i and columns t, t+1, j expanded
+    along its last column and divided by prev^2.  Then prev = p1 and the
+    next stage is t+2.  Any other stage is one-step: a[i][j] becomes (p0
+    a[i][j] - a[i][t] a[t][j]) / prev for i, j > t, and prev = p0.  Since
+    p1 != 0 is the pivot stage t+1 would find, a two-step pass replaces no
+    swap, so the permutations, and every returned integer, are those of the
+    one-step elimination.  Entries outside the active block are left
+    stale: only the returned triple is meaningful.  ``lead`` is the leading
+    r x r minor of the permuted matrix times the sign of the swaps, so it
+    is det when r = n.  The 2x2 active block at stage n-2 holds four
+    (n-1)-minors, which t + 3 < n keeps a two-step pass from skipping; they
+    are the third item (the four entries when n = 2, empty when n < 2 or
+    when the rank proves short before that stage).
 
     >>> _bareiss([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     (2, -3, (-3, -6, -6, -12))
+
+    The leading 2x2 minor here is 0, so stage 0 is one-step and stage 1
+    swaps rows:
+
+    >>> _bareiss([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]])
+    (4, -1, (1, 0, 1, 1))
     """
     n = len(rows)
     a = rows
     sign = 1
     prev = 1
     minors: tuple[int, ...] = ()
-    for k in range(n):
-        if k == n - 2:
-            minors = (a[k][k], a[k][k + 1], a[k + 1][k], a[k + 1][k + 1])
-        if a[k][k] == 0:
-            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+    t = 0
+    while t < n:
+        if t == n - 2:
+            minors = (a[t][t], a[t][t + 1], a[t + 1][t], a[t + 1][t + 1])
+        if a[t][t] == 0:
+            r = next((r for r in range(t + 1, n) if a[r][t]), None)
             if r is None:
-                j = next((j for j in range(k + 1, n) if any(row[j] for row in a[k:])), None)
+                j = next((j for j in range(t + 1, n) if any(row[j] for row in a[t:])), None)
                 if j is None:
-                    return k, sign * prev, minors
-                for row in a[k:]:
-                    row[k], row[j] = row[j], row[k]
+                    return t, sign * prev, minors
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
                 sign = -sign
-                r = next(r for r in range(k, n) if a[r][k])
-            if r != k:
-                a[k], a[r] = a[r], a[k]
+                r = next(r for r in range(t, n) if a[r][t])
+            if r != t:
+                a[t], a[r] = a[r], a[t]
                 sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
+        row_t = a[t]
+        p0 = row_t[t]
+        if t + 3 < n:
+            row_u = a[t + 1]
+            c, d, q = row_t[t + 1], row_u[t], row_u[t + 1]
+            p1 = (p0 * q - d * c) // prev
+            if p1:
+                tail_t = row_t[t + 2 :]
+                tail_u = row_u[t + 2 :]
+                for i in range(t + 2, n):
+                    row_i = a[i]
+                    x, y = row_i[t], row_i[t + 1]
+                    b = (p0 * y - x * c) // prev
+                    e = (d * y - q * x) // prev
+                    row_i[t + 2 :] = [
+                        (p1 * v + e * vt - b * vu) // prev for v, vt, vu in zip(row_i[t + 2 :], tail_t, tail_u)
+                    ]
+                prev = p1
+                t += 2
+                continue
+        tail_t = row_t[t + 1 :]
+        for i in range(t + 1, n):
             row_i = a[i]
-            row_k = a[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+            f = row_i[t]
+            row_i[t + 1 :] = [(v * p0 - f * vt) // prev for v, vt in zip(row_i[t + 1 :], tail_t)]
+        prev = p0
+        t += 1
     return n, sign * prev, minors
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant by two-step Bareiss fraction-free elimination
+    (``_bareiss``)."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     rank, lead, _ = _bareiss(m.to_rows())
@@ -382,11 +434,12 @@ def _eliminate(a: list[list[int]], modulus: int) -> tuple[int, ...]:
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Invariant factors of an integer matrix under unimodular row/column ops.
 
-    One Bareiss elimination gives the rank r and a nonzero r x r minor
-    ``lead`` (the determinant when r = n), and one elimination over Z/M
+    One two-step Bareiss elimination (``_bareiss``) gives the rank r and a
+    nonzero r x r minor ``lead`` (the determinant when r = n), and the four
+    (n-1)-minors of its active block at stage n-2, which it never passes
+    over; its other entries are left stale.  One elimination over Z/M
     gives gcd(d_i, M) for each i (Saunders-Wan's small-modulus idea).  At
-    full rank the trailing block of the Bareiss elimination holds
-    (n-1)-minors, so M = gcd(|det|, those minors) is a multiple of
+    full rank M = gcd(|det|, those minors) is a multiple of
     d_1 ... d_(n-1), usually a small one (M = |a| for a 1x1 matrix a); the
     elimination yields d_1 ... d_(n-1) exactly, d_n = |det| / (d_1 ...
     d_(n-1)), and the determinant gives the sign.  Below full rank M =

@@ -130,6 +130,62 @@ def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
     return IntMatrix.from_rows(cols).transpose()
 
 
+# One-step Bareiss elimination: the oracle for the library's two-step kernel
+# (zlinalg._bareiss), which must return the same triple on every input
+
+
+def bareiss_one_step(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
+    """Bareiss fraction-free elimination in place: (rank, lead, trailing minors).
+
+    Every division performed is exact, so intermediate entries stay at the
+    size of minors of the input rather than exploding exponentially.  After
+    stage k each entry (i, j) of the active block is the minor on rows
+    0..k, i and columns 0..k, j of the permuted matrix (Sylvester's
+    identity).  A stage swaps columns only when its pivot column is zero
+    from the diagonal down, which never happens for a nonsingular input; an
+    all-zero active block ends the elimination at rank r.  ``lead`` is the
+    leading r x r minor of the permuted matrix times the sign of the swaps,
+    so it is det when r = n.  The trailing 2x2 block after stage n-3 holds
+    four (n-1)-minors; they are the third item (the four entries when
+    n = 2, empty when n < 2 or when the rank proves short before that
+    stage).
+
+    >>> bareiss_one_step([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    (2, -3, (-3, -6, -6, -12))
+    """
+    n = len(rows)
+    a = rows
+    sign = 1
+    prev = 1
+    minors: tuple[int, ...] = ()
+    for k in range(n):
+        if k == n - 2:
+            minors = (a[k][k], a[k][k + 1], a[k + 1][k], a[k + 1][k + 1])
+        if a[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                j = next((j for j in range(k + 1, n) if any(row[j] for row in a[k:])), None)
+                if j is None:
+                    return k, sign * prev, minors
+                for row in a[k:]:
+                    row[k], row[j] = row[j], row[k]
+                sign = -sign
+                r = next(r for r in range(k, n) if a[r][k])
+            if r != k:
+                a[k], a[r] = a[r], a[k]
+                sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            row_k = a[k]
+            factor = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return n, sign * prev, minors
+
+
 # Invariant factors by elimination over Z (modulus 0), tracking the sign of
 # the determinant through every swap and negation: the reference the SNF
 # tests compare the library's one modular elimination against

@@ -25,7 +25,7 @@ from dgscert.zlinalg import (
     smith_normal_form,
     walk_matrix,
 )
-from conftest import eliminate_over_z, seeded_corpus
+from conftest import bareiss_one_step, eliminate_over_z, seeded_corpus
 
 B_FIXTURE = 3 * 23 * 29 * 1225550789 * 6442787651
 
@@ -72,6 +72,88 @@ class TestDeterminant:
     def test_sign_sensitivity(self):
         m = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert determinant(m) == -1
+
+
+def _leading_minor(rows: list[list[int]], k: int) -> int:
+    return sympy.Matrix([row[:k] for row in rows[:k]]).det()
+
+
+class TestBareissTwoStep:
+    """The two-step kernel against the one-step elimination in conftest:
+    the same (rank, lead, trailing minors) on every input."""
+
+    @staticmethod
+    def _assert_agrees(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
+        expected = bareiss_one_step([row[:] for row in rows])
+        assert _bareiss([row[:] for row in rows]) == expected, rows
+        return expected
+
+    def test_seeded_small_matrices(self):
+        # 2,160 matrices, 80 of each order 0..8 in each of three kinds:
+        # sparse (entries in -1..1, two in three 0), dense (-9..9) and
+        # products A B through an inner dimension below n, so rank deficient
+        deficient = 0
+        for k in range(2160):
+            n, kind = k % 9, k // 9 % 3
+            gen = Xorshift64Star(derive_seed(167, k))
+            if kind == 0:
+                rows = [[(0, 0, 0, 0, 1, -1)[gen.next_u64() % 6] for _ in range(n)] for _ in range(n)]
+            elif kind == 1:
+                rows = [[gen.next_u64() % 19 - 9 for _ in range(n)] for _ in range(n)]
+            else:
+                r = gen.next_u64() % n if n else 0
+                a = [[gen.next_u64() % 7 - 3 for _ in range(r)] for _ in range(n)]
+                b = [[gen.next_u64() % 7 - 3 for _ in range(n)] for _ in range(r)]
+                rows = [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(n)] for i in range(n)]
+            rank = self._assert_agrees(rows)[0]
+            if kind == 2 and n:
+                assert rank < n
+                deficient += 1
+        assert deficient == 640
+
+    def test_pool_walk_matrices(self):
+        # the pool derivation of dgscert table1; n = 48 is snf_large's order
+        for n in (20, 30, 48, 64):
+            for k in range(2):
+                self._assert_agrees(walk_matrix(random_graph(n, derive_seed(20211018, n, k))).to_rows())
+
+    def test_zero_leading_2x2_minor_takes_the_one_step_stage(self):
+        # p1 = 0 at t = 0, so stage 0 is one-step: hand-built cases, one
+        # with a zero first column (row swap) and one of rank 3, then
+        # seeded ones whose second row starts with twice the first
+        cases = [
+            [[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]],
+            [[0, 0, 1, 2], [0, 0, 3, 4], [1, 2, 0, 1], [5, 6, 1, 0]],
+            [[2, 4, 1, 0, 3], [1, 2, 0, 1, 1], [0, 1, 3, 1, 2], [1, 0, 1, 2, 1], [3, 1, 0, 1, 2]],
+            [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [1, 1, 1, 1, 1], [0, 1, 0, 1, 0], [1, 0, 0, 0, 1]],
+        ]
+        for k in range(24):
+            n = 4 + k % 5
+            rows = _random_int_matrix(n, derive_seed(173, k), -5, 5).to_rows()
+            rows[1][:2] = [2 * rows[0][0], 2 * rows[0][1]]
+            cases.append(rows)
+        # a walk matrix: columns 0 and 1 are the all-ones vector and the
+        # degrees, so vertices 0 and 1 of equal degree make the minor 0
+        pool = (random_graph(30, derive_seed(20211018, 30, k)) for k in range(100))
+        cases.append(walk_matrix(next(g for g in pool if g.degree(0) == g.degree(1))).to_rows())
+        for rows in cases:
+            assert _leading_minor(rows, 2) == 0, rows
+            self._assert_agrees(rows)
+        assert _bareiss(cases[0]) == (4, -1, (1, 0, 1, 1))
+        assert self._assert_agrees(cases[3])[0] == 4
+
+    def test_zero_leading_4x4_minor_takes_the_one_step_stage_at_t2(self):
+        # a two-step pass at t = 0 (leading 2x2 minor 1), a pivot at t = 2
+        # with no row swap (leading 3x3 minor 1), then p1 = 0 there with room
+        # for another pass (n >= 6), so stage 2 is one-step
+        for k in range(24):
+            n = 6 + k % 3
+            rows = _random_int_matrix(n, derive_seed(179, k), -5, 5).to_rows()
+            rows[0][:2], rows[1][:2] = [1, 0], [0, 1]
+            rows[2][2] = 1 + rows[2][0] * rows[0][2] + rows[2][1] * rows[1][2]
+            rows[3][:4] = [x + y - z for x, y, z in zip(rows[0], rows[1], rows[2][:4])]
+            assert [_leading_minor(rows, m) for m in (2, 3, 4)] == [1, 1, 0], rows
+            self._assert_agrees(rows)
 
 
 class TestCharPolyInt:
@@ -735,9 +817,10 @@ def test_doctests():
     import dgscert.zlinalg
 
     results = doctest.testmod(dgscert.zlinalg)
-    # _bareiss, _charpoly_hessenberg, char_poly_int, _coprime_split and
-    # _eliminate carry one example each, _brent_rho three
-    assert results.failed == 0 and results.attempted >= 8
+    # _bareiss carries two examples (one takes the one-step stage),
+    # _charpoly_hessenberg, char_poly_int, _coprime_split and _eliminate one
+    # each, _brent_rho three
+    assert results.failed == 0 and results.attempted >= 9
     results = doctest.testmod(dgscert.fpalg)
     # format_poly carries one
     assert results.failed == 0 and results.attempted >= 1
