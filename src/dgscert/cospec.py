@@ -21,7 +21,6 @@ from .certify import _prime_report
 from .errors import InvariantViolation
 from .graphcore import Graph, _pair_order, emit_graph6, parse_graph6
 from .zlinalg import (
-    IntMatrix,
     _odd_part,
     char_poly_int,
     factor_integer,
@@ -44,8 +43,8 @@ class SpectrumKey:
 
 def spectrum_key(g: Graph) -> SpectrumKey:
     return SpectrumKey(
-        char_poly_int(IntMatrix.from_rows(g.adjacency())),
-        char_poly_int(IntMatrix.from_rows(g.complement().adjacency())),
+        char_poly_int(g.adjacency()),
+        char_poly_int(g.complement().adjacency()),
     )
 
 
@@ -124,7 +123,7 @@ def recover_q(g_first: Graph, g_second: Graph) -> RationalOrthogonal:
         raise ValueError("graphs have different orders")
     if spectrum_key(g_first) != spectrum_key(g_second):
         raise ValueError("graphs are not generalized cospectral")
-    wg_t, wh_t = walk_matrix(g_first).transpose(), walk_matrix(g_second).transpose()
+    wg_t, wh_t = (list(zip(*walk_matrix(g))) for g in (g_first, g_second))
     try:
         q_rows = rational_solve(wg_t, wh_t)
     except ValueError as exc:  # both are n x n, so only a singular W(first) raises

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .zlinalg import IntMatrix, _charpoly_hessenberg, is_prime
+from .zlinalg import _charpoly_hessenberg, _square_rows, is_prime
 
 
 # a corpus run checks a few primes per graph; the cache need only hold the
@@ -265,11 +265,9 @@ def sqrt_poly(f: ModPoly) -> ModPoly:
 # characteristic polynomial over F_p
 
 
-def char_poly_mod_p(m: IntMatrix, p: int) -> ModPoly:
+def char_poly_mod_p(m, p: int) -> ModPoly:
     """Characteristic polynomial det(xI - m) over F_p, in O(n^3) field
     operations by reduction to Hessenberg form; 1 for the 0 x 0 matrix."""
     _check_modulus(p)
-    if not m.is_square():
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    rows = [[v % p for v in row] for row in m.to_rows()]
+    rows = [[v % p for v in row] for row in _square_rows(m, "characteristic polynomial")]
     return ModPoly(p, tuple(_charpoly_hessenberg(rows, p)))

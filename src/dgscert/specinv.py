@@ -25,7 +25,7 @@ from . import fpalg
 from .errors import InvariantViolation
 from .fpalg import ModPoly, char_poly_mod_p, format_poly, poly_gcd, sfp, sqrt_poly
 from .graphcore import Graph
-from .zlinalg import IntMatrix, _adj_apply
+from .zlinalg import _adj_apply
 
 
 def _walk_mod_p(adj: list[list[int]], p: int) -> list[list[int]]:
@@ -125,7 +125,7 @@ def _restricted_char_poly(adj: list[list[int]], basis: list[tuple[int, ...]], p:
         for i in range(n):
             if sum(b[i] * x for b, x in zip(basis, x_col)) % p != ab_col[i]:
                 raise InvariantViolation("nullspace of W^T is not A-invariant over F_p: B X != A B")
-    return char_poly_mod_p(IntMatrix.from_rows(x_cols).transpose(), p)
+    return char_poly_mod_p(list(zip(*x_cols)), p)
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def phi_report(g: Graph, p: int) -> PhiReport:
     walk = _walk_mod_p(adj, p)
     rank, main, basis = _eliminate_walk(walk, p)
     nullity = n - rank
-    chi = char_poly_mod_p(IntMatrix.from_rows(adj), p)
+    chi = char_poly_mod_p(adj, p)
     phi = _phi(chi, walk, p)
     if phi.is_zero():
         raise InvariantViolation("phi must be nonzero for a nonzero characteristic polynomial")

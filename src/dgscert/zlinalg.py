@@ -1,6 +1,7 @@
 """Exact integer matrix algebra and number-theory utilities.
 
-Everything here is exact: matrices hold arbitrary-precision Python integers.
+Everything here is exact: a matrix is any sequence of rows of
+arbitrary-precision Python integers, and no function changes its argument.
 Determinants and ranks come from one two-step Bareiss fraction-free
 elimination: each active entry is updated once per two pivots with one exact
 division, and a one-step stage runs where the next leading minor is 0 or
@@ -31,46 +32,6 @@ from math import gcd, isqrt, prod
 
 from .errors import InvariantViolation
 from .graphcore import Graph
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, entries stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), ncols, tuple(v for r in rows for v in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([[self.at(i, j) for i in range(self.rows)] for j in range(self.cols)])
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
 
 @dataclass(frozen=True)
@@ -138,8 +99,9 @@ def _adj_apply(adj: list[list[int]], v: list[int], modulus: int = 0) -> list[int
     return [x % modulus for x in out] if modulus else out
 
 
-def walk_matrix(g: Graph) -> IntMatrix:
-    """The n x n matrix whose k-th column is A^k applied to the all-ones vector."""
+def walk_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The n x n matrix whose k-th column is A^k applied to the all-ones
+    vector, as a tuple of row tuples."""
     n = g.n
     adj = g.adjacency()
     cols = []
@@ -147,7 +109,16 @@ def walk_matrix(g: Graph) -> IntMatrix:
     for _ in range(n):
         cols.append(v)
         v = _adj_apply(adj, v)
-    return IntMatrix.from_rows([[cols[k][i] for k in range(n)] for i in range(n)])
+    return tuple(zip(*cols))
+
+
+def _square_rows(m, what: str) -> list[list[int]]:
+    """Fresh lists holding the rows of the square matrix ``m``, a sequence of
+    integer rows; ValueError for ragged or non-square input."""
+    rows = [list(row) for row in m]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"{what} of a non-square matrix")
+    return rows
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
@@ -248,13 +219,12 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
     return n, sign * prev, minors
 
 
-def determinant(m: IntMatrix) -> int:
+def determinant(m) -> int:
     """Exact determinant by two-step Bareiss fraction-free elimination
     (``_bareiss``)."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    rank, lead, _ = _bareiss(m.to_rows())
-    return lead if rank == m.rows else 0
+    rows = _square_rows(m, "determinant")
+    rank, lead, _ = _bareiss(rows)
+    return lead if rank == len(rows) else 0
 
 
 def _charpoly_hessenberg(h: list[list[int]], p: int) -> list[int]:
@@ -320,7 +290,7 @@ def _charpoly_hessenberg(h: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def char_poly_int(m: IntMatrix) -> tuple[int, ...]:
+def char_poly_int(m) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - m), ascending coefficients;
     (1,) for the 0 x 0 matrix.
 
@@ -335,12 +305,10 @@ def char_poly_int(m: IntMatrix) -> tuple[int, ...]:
     recurrence has no division, so it is exact over Z/q whenever each pivot
     is invertible, and a pivot that is not makes ``pow(x, -1, q)`` raise.
 
-    >>> char_poly_int(IntMatrix.from_rows([[0, 1], [1, 0]]))
+    >>> char_poly_int([[0, 1], [1, 0]])
     (-1, 0, 1)
     """
-    if not m.is_square():
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    rows = m.to_rows()
+    rows = _square_rows(m, "characteristic polynomial")
     bound = prod(2 + isqrt(sum(v * v for v in row)) for row in rows)
     q = 2 * bound + 1
     while not is_prime(q):
@@ -431,7 +399,7 @@ def _eliminate(a: list[list[int]], modulus: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
+def smith_normal_form(m) -> SnfResult:
     """Invariant factors of an integer matrix under unimodular row/column ops.
 
     One two-step Bareiss elimination (``_bareiss``) gives the rank r and a
@@ -452,15 +420,14 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     pool graphs (n = 10..30 and 48) 4,268 stages find a unit at once and
     454 after a division; 15 blocks are all zero and 14 need a split.
     """
-    if not m.is_square():
-        raise ValueError("smith normal form of a non-square matrix")
-    n = m.rows
-    rank, lead, minors = _bareiss(m.to_rows())
+    rows = _square_rows(m, "smith normal form")
+    n = len(rows)
+    rank, lead, minors = _bareiss(rows)
     if rank == 0:
         # the empty matrix has det 1; a zero matrix has every d_i = 0
         return SnfResult((0,) * n, 1 if n == 0 else 0)
     modulus = gcd(lead, *minors) if rank == n else abs(lead)
-    factors = _eliminate([[v % modulus for v in row] for row in m.to_rows()], modulus)
+    factors = _eliminate([[v % modulus for v in row] for row in m], modulus)
     if rank < n:
         if any(d != modulus for d in factors[rank:]):
             raise InvariantViolation("modular invariant factors disagree with the Bareiss rank")
@@ -471,15 +438,14 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(factors[:-1] + (dn,), 1 if lead > 0 else -1)
 
 
-def rational_solve(m: IntMatrix, b: IntMatrix) -> list[list[Fraction]]:
-    """Exact solution X of m @ X = b for nonsingular square m."""
-    if not m.is_square():
-        raise ValueError("coefficient matrix must be square")
-    if b.rows != m.rows:
-        raise ValueError("dimension mismatch between system and right-hand side")
-    n = m.rows
-    w = b.cols
-    aug = [[Fraction(m.at(i, j)) for j in range(n)] + [Fraction(b.at(i, j)) for j in range(w)] for i in range(n)]
+def rational_solve(m, b) -> list[list[Fraction]]:
+    """Exact solution X of m @ X = b for nonsingular square m, both sequences
+    of integer rows."""
+    rows = _square_rows(m, "rational solve")
+    n = len(rows)
+    if len(b) != n or any(len(row) != len(b[0]) for row in b):
+        raise ValueError("right-hand side does not match the system")
+    aug = [[Fraction(v) for v in (*row, *tail)] for row, tail in zip(rows, b)]
     for k in range(n):
         piv = next((r for r in range(k, n) if aug[r][k]), None)
         if piv is None:

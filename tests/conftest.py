@@ -8,7 +8,7 @@ from dgscert.cospec import enumerate_generalized_cospectral_classes
 from dgscert.errors import InvariantViolation
 from dgscert.fpalg import _check_modulus
 from dgscert.graphcore import Graph, derive_seed, random_graph
-from dgscert.zlinalg import IntMatrix, _adj_apply, walk_matrix
+from dgscert.zlinalg import _adj_apply, walk_matrix
 
 CORPUS_SEED = 0xD65C0DE
 # an n = 18 graph whose d_n has the 91-bit prime factor BIG_PRIME of nullity 1
@@ -35,6 +35,10 @@ def strong_pseudoprime_base_2() -> int:
     x = pow(2, d, n)
     assert x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
     return n
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def permuted(g: Graph, perm) -> Graph:
@@ -70,28 +74,28 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def _reduced_rows(m: IntMatrix, p: int) -> list[list[int]]:
+def _reduced_rows(m, p: int) -> list[list[int]]:
     _check_modulus(p)
-    return [[v % p for v in row] for row in m.to_rows()]
+    return [[v % p for v in row] for row in m]
 
 
-def rank_p(m: IntMatrix, p: int) -> int:
+def rank_p(m, p: int) -> int:
     """Rank of m over F_p."""
     return len(_rref(_reduced_rows(m, p), p)[1])
 
 
-def nullity_p(m: IntMatrix, p: int) -> int:
-    if not m.is_square():
+def nullity_p(m, p: int) -> int:
+    if any(len(row) != len(m) for row in m):
         raise ValueError("nullity_p defined here for square matrices only")
-    return m.cols - rank_p(m, p)
+    return len(m) - rank_p(m, p)
 
 
-def nullspace_basis_p(m: IntMatrix, p: int) -> list[tuple[int, ...]]:
+def nullspace_basis_p(m, p: int) -> list[tuple[int, ...]]:
     """Reduced-echelon basis of the right nullspace of m over F_p: basis
     vector k has a 1 in the k-th free column and zeros in the other free
     columns."""
     rows, pivots = _rref(_reduced_rows(m, p), p)
-    n = m.cols
+    n = len(m[0]) if m else 0
     basis = []
     for f in (j for j in range(n) if j not in pivots):
         vec = [0] * n
@@ -102,7 +106,7 @@ def nullspace_basis_p(m: IntMatrix, p: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
+def reduced_walk_matrix(g: Graph, p: int) -> list[tuple[int, ...]]:
     """Walk matrix with the p-divisible tail compressed out: the oracle for
     the nullity that ``phi_report`` gives, by the determinant drop.
 
@@ -119,7 +123,7 @@ def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
     rank, f, _ = specinv._eliminate_walk(specinv._walk_mod_p(adj, p), p)
     if rank == n:
         raise ValueError(f"prime {p} does not divide det W, nothing to reduce")
-    cols = walk_matrix(g).transpose().to_rows()
+    cols = list(zip(*walk_matrix(g)))
     fe = [sum(c * cols[d][i] for d, c in enumerate(f.coeffs)) for i in range(n)]
     if any(x % p for x in fe):
         raise InvariantViolation("minimal annihilator lift does not vanish mod p")
@@ -127,7 +131,7 @@ def reduced_walk_matrix(g: Graph, p: int) -> IntMatrix:
     for j in range(rank, n):
         cols[j] = tail
         tail = _adj_apply(adj, tail)
-    return IntMatrix.from_rows(cols).transpose()
+    return list(zip(*cols))
 
 
 # One-step Bareiss elimination: the oracle for the library's two-step kernel

@@ -36,7 +36,6 @@ from dgscert.fpalg import char_poly_mod_p, format_poly
 from dgscert.graphcore import derive_seed, random_graph
 from dgscert.specinv import phi_report
 from dgscert.zlinalg import (
-    IntMatrix,
     determinant,
     factor_integer,
     smith_normal_form,
@@ -137,7 +136,7 @@ def test_criterion_3_theorem_invariant_suite():
                 assert rep.restricted_charpoly.divides(rep.phi)
                 chi = chi_cache.get(p)
                 if chi is None:
-                    chi = chi_cache[p] = char_poly_mod_p(IntMatrix.from_rows(g.adjacency()), p)
+                    chi = chi_cache[p] = char_poly_mod_p(g.adjacency(), p)
                 assert rep.p_main * rep.restricted_charpoly == chi
                 if rep.nullity == 1:
                     assert rep.sfp_phi.degree == 1

@@ -120,8 +120,8 @@ class TestVerifyAndRecover:
         nm = fixture_q.numerators
         for i in range(n):
             for j in range(n):
-                lhs = sum(nm[k][i] * wg.at(k, j) for k in range(n))
-                assert lhs == lvl * wh.at(i, j)
+                lhs = sum(nm[k][i] * wg[k][j] for k in range(n))
+                assert lhs == lvl * wh[i][j]
 
     def test_rejects_non_cospectral(self, c4):
         other = Graph.from_edges(4, [(0, 1)])

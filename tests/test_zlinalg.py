@@ -8,11 +8,11 @@ import sympy
 
 from dgscert.errors import InvariantViolation
 from dgscert.fixtures import dgs16_graph, mate9_graph
+from dgscert.fpalg import ModPoly, char_poly_mod_p
 from dgscert.graphcore import Graph, Xorshift64Star, derive_seed, random_graph
 from dgscert.zlinalg import (
     _TRIAL_BLOCK,
     _TRIAL_LIMIT,
-    IntMatrix,
     _bareiss,
     _brent_rho,
     _eliminate,
@@ -25,32 +25,32 @@ from dgscert.zlinalg import (
     smith_normal_form,
     walk_matrix,
 )
-from conftest import bareiss_one_step, eliminate_over_z, seeded_corpus
+from conftest import bareiss_one_step, eliminate_over_z, identity, seeded_corpus
 
 B_FIXTURE = 3 * 23 * 29 * 1225550789 * 6442787651
 
 
-def _random_int_matrix(n: int, seed: int, lo: int = -9, hi: int = 9) -> IntMatrix:
+def _random_int_matrix(n: int, seed: int, lo: int = -9, hi: int = 9) -> list[list[int]]:
     gen = Xorshift64Star(seed)
     span = hi - lo + 1
-    return IntMatrix.from_rows([[lo + gen.next_u64() % span for _ in range(n)] for _ in range(n)])
+    return [[lo + gen.next_u64() % span for _ in range(n)] for _ in range(n)]
 
 
 class TestWalkMatrix:
     def test_k1(self, k1):
-        assert walk_matrix(k1) == IntMatrix.from_rows([[1]])
+        assert walk_matrix(k1) == ((1,),)
 
     def test_k2_singular(self, k2):
-        assert walk_matrix(k2) == IntMatrix.from_rows([[1, 1], [1, 1]])
+        assert walk_matrix(k2) == ((1, 1), (1, 1))
 
     def test_p3_columns(self, p3):
         # columns e, Ae, A^2 e computed by hand
-        assert walk_matrix(p3) == IntMatrix.from_rows([[1, 1, 2], [1, 2, 2], [1, 1, 2]])
+        assert walk_matrix(p3) == ((1, 1, 2), (1, 2, 2), (1, 1, 2))
 
 
 class TestDeterminant:
     def test_identity(self):
-        assert determinant(IntMatrix.identity(3)) == 1
+        assert determinant(identity(3)) == 1
 
     def test_singular_walk_matrix(self, k2):
         assert determinant(walk_matrix(k2)) == 0
@@ -62,15 +62,15 @@ class TestDeterminant:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            determinant(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+            determinant([[1, 2, 3], [4, 5, 6]])
 
     def test_matches_sympy_on_random_matrices(self):
         for i in range(25):
             m = _random_int_matrix(5, derive_seed(11, i))
-            assert determinant(m) == sympy.Matrix(m.to_rows()).det()
+            assert determinant(m) == sympy.Matrix(m).det()
 
     def test_sign_sensitivity(self):
-        m = IntMatrix.from_rows([[0, 1], [1, 0]])
+        m = [[0, 1], [1, 0]]
         assert determinant(m) == -1
 
 
@@ -84,8 +84,8 @@ class TestBareissTwoStep:
 
     @staticmethod
     def _assert_agrees(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
-        expected = bareiss_one_step([row[:] for row in rows])
-        assert _bareiss([row[:] for row in rows]) == expected, rows
+        expected = bareiss_one_step([list(row) for row in rows])
+        assert _bareiss([list(row) for row in rows]) == expected, rows
         return expected
 
     def test_seeded_small_matrices(self):
@@ -115,7 +115,7 @@ class TestBareissTwoStep:
         # the pool derivation of dgscert table1; n = 48 is snf_large's order
         for n in (20, 30, 48, 64):
             for k in range(2):
-                self._assert_agrees(walk_matrix(random_graph(n, derive_seed(20211018, n, k))).to_rows())
+                self._assert_agrees(walk_matrix(random_graph(n, derive_seed(20211018, n, k))))
 
     def test_zero_leading_2x2_minor_takes_the_one_step_stage(self):
         # p1 = 0 at t = 0, so stage 0 is one-step: hand-built cases, one
@@ -129,13 +129,13 @@ class TestBareissTwoStep:
         ]
         for k in range(24):
             n = 4 + k % 5
-            rows = _random_int_matrix(n, derive_seed(173, k), -5, 5).to_rows()
+            rows = _random_int_matrix(n, derive_seed(173, k), -5, 5)
             rows[1][:2] = [2 * rows[0][0], 2 * rows[0][1]]
             cases.append(rows)
         # a walk matrix: columns 0 and 1 are the all-ones vector and the
         # degrees, so vertices 0 and 1 of equal degree make the minor 0
         pool = (random_graph(30, derive_seed(20211018, 30, k)) for k in range(100))
-        cases.append(walk_matrix(next(g for g in pool if g.degree(0) == g.degree(1))).to_rows())
+        cases.append(walk_matrix(next(g for g in pool if g.degree(0) == g.degree(1))))
         for rows in cases:
             assert _leading_minor(rows, 2) == 0, rows
             self._assert_agrees(rows)
@@ -148,7 +148,7 @@ class TestBareissTwoStep:
         # for another pass (n >= 6), so stage 2 is one-step
         for k in range(24):
             n = 6 + k % 3
-            rows = _random_int_matrix(n, derive_seed(179, k), -5, 5).to_rows()
+            rows = _random_int_matrix(n, derive_seed(179, k), -5, 5)
             rows[0][:2], rows[1][:2] = [1, 0], [0, 1]
             rows[2][2] = 1 + rows[2][0] * rows[0][2] + rows[2][1] * rows[1][2]
             rows[3][:4] = [x + y - z for x, y, z in zip(rows[0], rows[1], rows[2][:4])]
@@ -159,17 +159,17 @@ class TestBareissTwoStep:
 class TestCharPolyInt:
     def test_empty_matrix(self):
         # det of the 0 x 0 matrix xI - A is 1, as determinant() already says
-        assert char_poly_int(IntMatrix(0, 0, ())) == (1,)
+        assert char_poly_int([]) == (1,)
 
     def test_zero_matrix(self):
-        assert char_poly_int(IntMatrix.from_rows([[0, 0], [0, 0]])) == (0, 0, 1)
+        assert char_poly_int([[0, 0], [0, 0]]) == (0, 0, 1)
 
     def test_k2(self, k2):
-        assert char_poly_int(IntMatrix.from_rows(k2.adjacency())) == (-1, 0, 1)
+        assert char_poly_int(k2.adjacency()) == (-1, 0, 1)
 
     def test_p3(self, p3):
         # x^3 - 2x, from cofactor expansion of the 3x3 symbolic determinant
-        assert char_poly_int(IntMatrix.from_rows(p3.adjacency())) == (0, -2, 0, 1)
+        assert char_poly_int(p3.adjacency()) == (0, -2, 0, 1)
 
     def test_evaluation_matches_determinant(self):
         # chi(x) = det(xI - A) checked against the independent Bareiss
@@ -179,24 +179,22 @@ class TestCharPolyInt:
         matrices = [_random_int_matrix(4, derive_seed(23, i), -3, 3) for i in range(10)]
         for n in (20, 30, 64):
             g = random_graph(n, derive_seed(20211018, n, 0))
-            matrices += [IntMatrix.from_rows(g.adjacency()), IntMatrix.from_rows(g.complement().adjacency())]
+            matrices += [g.adjacency(), g.complement().adjacency()]
         for i, n in enumerate((1, 2, 5, 8)):
             near = _random_int_matrix(n, derive_seed(24, i))
-            matrices.append(IntMatrix(n, n, tuple(10**30 * (-1) ** (v % 2) + v for v in near.entries)))
+            matrices.append([[10**30 * (-1) ** (v % 2) + v for v in row] for row in near])
         for m in matrices:
-            n = m.rows
+            n = len(m)
             coeffs = char_poly_int(m)
             assert len(coeffs) == n + 1
             for x in range(-(n // 2), n - n // 2 + 1):
-                shifted = IntMatrix.from_rows(
-                    [[x * (1 if r == c else 0) - m.at(r, c) for c in range(n)] for r in range(n)]
-                )
+                shifted = [[x * (1 if r == c else 0) - m[r][c] for c in range(n)] for r in range(n)]
                 assert sum(c * x**k for k, c in enumerate(coeffs)) == determinant(shifted)
 
     def test_matches_sympy(self):
         for i in range(10):
             m = _random_int_matrix(5, derive_seed(29, i))
-            expected = sympy.Matrix(m.to_rows()).charpoly().all_coeffs()  # descending
+            expected = sympy.Matrix(m).charpoly().all_coeffs()  # descending
             assert list(char_poly_int(m)) == list(reversed(expected))
 
     def test_constant_term_is_signed_determinant(self):
@@ -207,10 +205,10 @@ class TestCharPolyInt:
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
-        assert smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).factors == (1, 6)
+        assert smith_normal_form([[2, 0], [0, 3]]).factors == (1, 6)
 
     def test_identity(self):
-        assert smith_normal_form(IntMatrix.identity(4)).factors == (1, 1, 1, 1)
+        assert smith_normal_form(identity(4)).factors == (1, 1, 1, 1)
 
     def test_dgs16_fixture(self):
         snf = smith_normal_form(walk_matrix(dgs16_graph()))
@@ -225,7 +223,7 @@ class TestSmithNormalForm:
 
         for i in range(20):
             m = _random_int_matrix(4, derive_seed(37, i), -6, 6)
-            expected = tuple(int(d) for d in invariant_factors(sympy.Matrix(m.to_rows())))
+            expected = tuple(int(d) for d in invariant_factors(sympy.Matrix(m)))
             assert smith_normal_form(m).factors == expected
 
     def test_singular_matrix_has_trailing_zeros(self, k2):
@@ -238,9 +236,7 @@ class TestSmithNormalForm:
             m = _random_int_matrix(4, derive_seed(43, i), -5, 5)
             perm = sorted(range(4), key=lambda _: gen.next_u64())
             signs = [1 if gen.next_bit() else -1 for _ in range(4)]
-            scrambled = IntMatrix.from_rows(
-                [[signs[r] * m.at(perm[r], c) for c in range(4)] for r in range(4)]
-            )
+            scrambled = [[signs[r] * m[perm[r]][c] for c in range(4)] for r in range(4)]
             assert smith_normal_form(scrambled).factors == smith_normal_form(m).factors
 
     def test_product_equals_absolute_determinant(self, small_corpus):
@@ -269,13 +265,13 @@ class TestSmithNormalFormDifferential:
     elimination over Z in conftest."""
 
     @staticmethod
-    def _over_z(m: IntMatrix) -> tuple[tuple[int, ...], int]:
-        return eliminate_over_z(m.to_rows())
+    def _over_z(m) -> tuple[tuple[int, ...], int]:
+        return eliminate_over_z([list(row) for row in m])
 
     @staticmethod
-    def _modulus_and_r(m: IntMatrix) -> tuple[int, int]:
-        _, det, minors = _bareiss(m.to_rows())
-        return gcd(det, *minors), prod(eliminate_over_z(m.to_rows())[0][:-1])
+    def _modulus_and_r(m) -> tuple[int, int]:
+        _, det, minors = _bareiss([list(row) for row in m])
+        return gcd(det, *minors), prod(eliminate_over_z([list(row) for row in m])[0][:-1])
 
     def test_sympy_oracle_singular_and_tiny_orders(self):
         from sympy.matrices.normalforms import invariant_factors
@@ -293,15 +289,13 @@ class TestSmithNormalFormDifferential:
             [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
         ]
         for i in range(20):
-            m = _random_int_matrix(2, derive_seed(79, i), -6, 6)
-            cases.append(m.to_rows())
+            cases.append(_random_int_matrix(2, derive_seed(79, i), -6, 6))
         for rows in cases:
-            m = IntMatrix.from_rows(rows)
             expected = tuple(int(d) for d in invariant_factors(sympy.Matrix(rows)))
-            snf = smith_normal_form(m)
+            snf = smith_normal_form(rows)
             assert snf.factors == expected, rows
-            if determinant(m):
-                assert snf.det_sign * snf.abs_det() == determinant(m), rows
+            if determinant(rows):
+                assert snf.det_sign * snf.abs_det() == determinant(rows), rows
 
     def test_singular_inputs_match_the_reference_and_sympy(self):
         # rank-deficient products A B (inner dimension below n), the walk
@@ -317,7 +311,7 @@ class TestSmithNormalFormDifferential:
             a = [[gen.next_u64() % 11 - 5 for _ in range(r)] for _ in range(n)]
             b = [[gen.next_u64() % 11 - 5 for _ in range(n)] for _ in range(r)]
             product = [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(n)] for i in range(n)]
-            cases.append(IntMatrix.from_rows(product))
+            cases.append(product)
         graphs = [Graph.from_edges(2, [(0, 1)])]
         graphs += [Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 21)]
         graphs += [random_graph(10, derive_seed(20211018, 10, k)) for k in (0, 3)]
@@ -326,7 +320,7 @@ class TestSmithNormalFormDifferential:
             assert determinant(m) == 0
             snf = smith_normal_form(m)
             assert snf.factors == self._over_z(m)[0]
-            assert snf.factors == tuple(int(d) for d in invariant_factors(sympy.Matrix(m.to_rows())))
+            assert snf.factors == tuple(int(d) for d in invariant_factors(sympy.Matrix(m)))
             assert snf.det_sign == 0
         assert smith_normal_form(cases[-1]).factors == (1, 1, 1, 1, 2, 2, 2, 2, 2766, 0)
 
@@ -341,7 +335,7 @@ class TestSmithNormalFormDifferential:
 
         # rank 2, lead 4: over Z/4 the factors read (2, 2, 4), so a claimed
         # rank of 1 leaves a factor 2 where M = 4 must stand
-        m = IntMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 0]])
+        m = [[2, 0, 0], [0, 2, 0], [0, 0, 0]]
         assert smith_normal_form(m).factors == (2, 2, 0)
         monkeypatch.setattr(mod, "_bareiss", understated)
         with pytest.raises(InvariantViolation):
@@ -359,7 +353,7 @@ class TestSmithNormalFormDifferential:
 
     def test_modulus_above_r(self):
         # the trailing minors share the factor 3 with det, d_1 d_2 does not
-        m = IntMatrix.from_rows([[-3, 1, 4], [-3, -3, 1], [-3, -2, -2]])
+        m = [[-3, 1, 4], [-3, -3, 1], [-3, -2, -2]]
         assert self._modulus_and_r(m) == (3, 1)
         snf = smith_normal_form(m)
         assert snf.factors == (1, 1, 45) and snf.det_sign * snf.abs_det() == determinant(m)
@@ -377,14 +371,14 @@ class TestSmithNormalFormDifferential:
             above += modulus > r
             snf = smith_normal_form(m)
             assert (snf.factors, snf.det_sign) == self._over_z(m)
-            assert snf.factors == tuple(int(d) for d in invariant_factors(sympy.Matrix(m.to_rows())))
+            assert snf.factors == tuple(int(d) for d in invariant_factors(sympy.Matrix(m)))
             assert snf.det_sign * snf.abs_det() == det
         assert above >= 10
 
     def test_modular_elimination_yields_gcd_with_modulus(self):
-        m = IntMatrix.from_rows([[2, 0, 0], [0, 6, 0], [0, 0, 36]])
+        m = [[2, 0, 0], [0, 6, 0], [0, 0, 36]]
         for modulus in (1, 2, 4, 9, 12, 72):
-            rows = [[v % modulus for v in row] for row in m.to_rows()]
+            rows = [[v % modulus for v in row] for row in m]
             factors = _eliminate(rows, modulus)
             assert factors == tuple(gcd(d, modulus) for d in (2, 6, 36)), modulus
 
@@ -401,7 +395,7 @@ class TestSmithNormalFormDifferential:
         cases = [([[2, 3], [3, 4]], 6), ([[2, 3, 0], [3, 4, 6], [0, 6, 8]], 12)]
         for i in range(30):
             m = _random_int_matrix(4 + i % 3, derive_seed(89, i))
-            cases.append((m.to_rows(), (6, 12, 30, 36, 60, 210)[i % 6]))
+            cases.append((m, (6, 12, 30, 36, 60, 210)[i % 6]))
         unit_stages = fallback_stages = 0
         for rows, modulus in cases:
             reduced = [[v % modulus for v in row] for row in rows]
@@ -480,8 +474,7 @@ class TestSmithNormalFormDifferential:
             smith_normal_form(walk_matrix(mate9_graph()))
 
     def test_bareiss_trailing_minors(self):
-        m = IntMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
-        rank, det, minors = _bareiss(m.to_rows())
+        rank, det, minors = _bareiss([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
         # minors on rows {0, i} and columns {0, j}, i, j in {1, 2}
         assert rank == 3 and det == 18 and minors == (5, 2, 2, 8)
         assert _bareiss([[3, 4], [5, 6]]) == (2, -2, (3, 4, 5, 6))
@@ -768,14 +761,14 @@ class TestIsPrime:
 
 class TestRationalSolve:
     def test_identity(self):
-        b = IntMatrix.from_rows([[3, 1], [4, 1]])
-        assert rational_solve(IntMatrix.identity(2), b) == [
+        b = [[3, 1], [4, 1]]
+        assert rational_solve(identity(2), b) == [
             [Fraction(3), Fraction(1)],
             [Fraction(4), Fraction(1)],
         ]
 
     def test_diagonal_halving(self):
-        x = rational_solve(IntMatrix.from_rows([[2, 0], [0, 2]]), IntMatrix.identity(2))
+        x = rational_solve([[2, 0], [0, 2]], identity(2))
         assert x == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
 
     def test_multiply_back(self):
@@ -787,30 +780,81 @@ class TestRationalSolve:
             x = rational_solve(m, b)
             for r in range(4):
                 for c in range(4):
-                    assert sum(m.at(r, k) * x[k][c] for k in range(4)) == b.at(r, c)
+                    assert sum(m[r][k] * x[k][c] for k in range(4)) == b[r][c]
 
     def test_singular_rejected(self, k2):
         with pytest.raises(ValueError, match="singular"):
-            rational_solve(walk_matrix(k2), IntMatrix.identity(2))
+            rational_solve(walk_matrix(k2), identity(2))
 
 
-class TestIntMatrix:
-    def test_entry_count_checked(self):
-        with pytest.raises(ValueError):
-            IntMatrix(2, 2, (1, 2, 3))
+# the five entry points that take a square matrix, each on one argument
+ENTRY_POINTS = {
+    "determinant": determinant,
+    "char_poly_int": char_poly_int,
+    "char_poly_mod_p": lambda m: char_poly_mod_p(m, 5),
+    "smith_normal_form": smith_normal_form,
+    "rational_solve": lambda m: rational_solve(m, identity(2)),
+}
+BAD_SHAPES = {"ragged": [[1, 2], [3]], "wide": [[1, 2, 3], [4, 5, 6]], "tall": [[1, 2], [3, 4], [5, 6]]}
+BAD_RIGHT_HAND_SIDES = {"short": [[1]], "tall": [[1], [2], [3]], "ragged": [[1, 2], [3]]}
 
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            IntMatrix.from_rows([[1, 2], [3]])
 
-    def test_transpose(self):
-        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-        assert m.transpose() == IntMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
+class TestMatrixArguments:
+    """Matrices are sequences of integer rows; every entry point copies its
+    argument and rejects anything but a square matrix."""
+
+    @pytest.mark.parametrize(
+        "call, args, message",
+        [
+            pytest.param(f, (m,), "non-square", id=f"{name}-{shape}")
+            for name, f in ENTRY_POINTS.items()
+            for shape, m in BAD_SHAPES.items()
+        ]
+        + [
+            pytest.param(rational_solve, (identity(2), b), "right-hand side", id=f"rational_solve-rhs-{shape}")
+            for shape, b in BAD_RIGHT_HAND_SIDES.items()
+        ],
+    )
+    def test_shape_errors(self, call, args, message):
+        with pytest.raises(ValueError, match=message):
+            call(*args)
+
+    def test_empty_matrix(self):
+        assert determinant([]) == 1
+        assert char_poly_int([]) == (1,)
+        assert char_poly_mod_p([], 5) == ModPoly.one(5)
+        snf = smith_normal_form([])
+        assert (snf.factors, snf.det_sign) == ((), 1)
+        assert rational_solve([], []) == []
+
+    def test_arguments_are_not_mutated(self, k2):
+        # determinant then smith_normal_form on one list of lists is the
+        # benchmark's snf_large sequence; a kernel that eliminated in the
+        # caller's rows would change w and the second result.  The entries
+        # of a are -1 and 2, so reducing them mod 5 in place would show too
+        graphs = [k2, mate9_graph(), dgs16_graph(), random_graph(48, derive_seed(20211018, 48, 0))]
+        for g in graphs:
+            fresh = walk_matrix(g)
+            w = [list(row) for row in fresh]
+            det, snf = determinant(w), smith_normal_form(w)
+            assert w == [list(row) for row in fresh]
+            assert (det, snf) == (determinant(fresh), smith_normal_form(fresh))
+            fresh = tuple(tuple(3 * v - 1 for v in row) for row in g.adjacency())
+            a = [list(row) for row in fresh]
+            chi, chi_5 = char_poly_int(a), char_poly_mod_p(a, 5)
+            assert a == [list(row) for row in fresh]
+            assert (chi, chi_5) == (char_poly_int(fresh), char_poly_mod_p(fresh, 5))
+        m, b = [[2, 1], [1, 3]], [[1, 0], [0, 1]]
+        x = rational_solve(m, b)
+        assert (m, b) == ([[2, 1], [1, 3]], [[1, 0], [0, 1]])
+        assert x == rational_solve(((2, 1), (1, 3)), ((1, 0), (0, 1)))
+        assert x == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
 
 
 def test_doctests():
     import doctest
 
+    import conftest
     import dgscert.certify
     import dgscert.fpalg
     import dgscert.specinv
@@ -830,3 +874,6 @@ def test_doctests():
     results = doctest.testmod(dgscert.specinv)
     # _eliminate_walk carries one
     assert results.failed == 0 and results.attempted >= 1
+    results = doctest.testmod(conftest)
+    # the test oracles bareiss_one_step and eliminate_over_z carry one each
+    assert results.failed == 0 and results.attempted >= 2
