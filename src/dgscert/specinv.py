@@ -4,12 +4,19 @@ annihilator of the all-ones vector and the characteristic polynomial of A
 restricted to the nullspace of W^T (the ``PhiReport`` fields ``phi``,
 ``p_main`` and ``restricted_charpoly``).
 
-A (graph, prime) pair costs one walk e, Ae, ..., A^n e reduced mod p and one
-elimination over F_p (``_eliminate_walk``): it gives the rank of W, the
-minimal annihilator of e and a nullspace basis of W^T, from which the
-restricted characteristic polynomial follows.  The characteristic polynomial
-of A comes from an independent route, a Hessenberg reduction.  A + J is never
-formed (see ``_phi``).
+A (graph, prime) pair costs one walk e, Ae, ..., A^n e reduced mod p, one
+forward elimination of it over F_p (``_eliminate_walk``), which gives the
+rank r of W and the minimal annihilator m_p of e, and one characteristic
+polynomial chi_A, from a Hessenberg reduction.  A + J is never formed (see
+``_phi``).
+
+The restricted characteristic polynomial is chi_A / m_p.  K = col(W mod p)
+is the cyclic subspace spanned by e, Ae, ..., A^(r-1) e, on which A has
+characteristic polynomial m_p; so A on the quotient F_p^n / K has
+chi_A / m_p.  The nullspace of W^T is K^perp, which is A-invariant because
+A is symmetric, and the pairing of F_p^n / K with K^perp is nondegenerate
+with <Ax, y> = <x, Ay>: A on K^perp is the dual of A on F_p^n / K and has
+the same characteristic polynomial.
 
 The relationships between these quantities (degree bounds, divisibility
 chains, factorization identities) are proven facts, so ``phi_report`` checks
@@ -36,22 +43,18 @@ def _walk_mod_p(adj: list[list[int]], p: int) -> list[list[int]]:
     return walk
 
 
-def _eliminate_walk(walk: list[list[int]], p: int) -> tuple[int, ModPoly, list[tuple[int, ...]]]:
-    """Rank r of W mod p, the minimal annihilator of e and the reduced-echelon
-    basis of the nullspace of W^T, from one forward elimination of the walk
-    vectors e, Ae, ... taken in order.
+def _eliminate_walk(walk: list[list[int]], p: int) -> tuple[int, ModPoly]:
+    """Rank r of W mod p and the minimal annihilator of e, from one forward
+    elimination of the walk vectors e, Ae, ... taken in order.
 
     Each echelon row carries its coordinates in the walk vectors.  Once a walk
     vector depends on the earlier ones every later one does, so the first
     vector that reduces to zero is A^r e, and its coordinates are the
-    annihilator.  The pivots are the leading positions of the row space, the
-    pivots of its reduced echelon form, so back-substitution on the free
-    columns alone gives the basis read off that form, which is unique:
-    vector k is 1 at the k-th free column and 0 at the other free columns.
+    annihilator.
 
     >>> path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     >>> _eliminate_walk(_walk_mod_p(path, 3), 3)
-    (2, ModPoly(p=3, coeffs=(1, 0, 1)), [(2, 0, 1)])
+    (2, ModPoly(p=3, coeffs=(1, 0, 1)))
     """
     n = len(walk[0])
     rows: list[list[int]] = []  # [row | coordinates], 1 at the pivot
@@ -67,26 +70,7 @@ def _eliminate_walk(walk: list[list[int]], p: int) -> tuple[int, ModPoly, list[t
         inv = pow(v[col], -1, p)
         rows.append([x * inv % p for x in v])
         pivots.append(col)
-    main = ModPoly(p, tuple(v[n:]))
-    free = [j for j in range(n) if j not in pivots]
-    # row i is already 0 at the earlier pivots; clearing the later ones
-    # changes it only there and at the free columns
-    reduced: list[list[int]] = [[]] * len(rows)
-    for i in range(len(rows) - 1, -1, -1):
-        row = rows[i]
-        vals = [row[f] for f in free]
-        for j in range(i + 1, len(rows)):
-            if x := row[pivots[j]]:
-                vals = [(a - x * b) % p for a, b in zip(vals, reduced[j])]
-        reduced[i] = vals
-    basis = []
-    for t, f in enumerate(free):
-        vec = [0] * n
-        vec[f] = 1
-        for c, vals in zip(pivots, reduced):
-            vec[c] = -vals[t] % p
-        basis.append(tuple(vec))
-    return len(rows), main, basis
+    return len(rows), ModPoly(p, tuple(v[n:]))
 
 
 def _phi(chi: ModPoly, walk: list[list[int]], p: int) -> ModPoly:
@@ -104,30 +88,6 @@ def _phi(chi: ModPoly, walk: list[list[int]], p: int) -> ModPoly:
     return poly_gcd(chi, ModPoly.make(p, q))
 
 
-def _restricted_char_poly(adj: list[list[int]], basis: list[tuple[int, ...]], p: int) -> ModPoly:
-    """Characteristic polynomial of A acting on the F_p nullspace of W^T.
-
-    The nullspace is A-invariant, so with B its reduced-echelon basis matrix,
-    X in B X = A B is read off A B at the basis's free columns; the result is
-    the characteristic polynomial of the small matrix X.  B X = A B is then
-    checked in full: a mismatch is mathematically impossible and an
-    internal error.
-    """
-    n = len(adj)
-    if not basis:
-        return ModPoly.one(p)
-    ab_cols = [_adj_apply(adj, vec, p) for vec in basis]
-    # each basis vector is 1 at its own free column (its last nonzero entry)
-    # and 0 at the others, so X holds the entries of A B at the free columns
-    free = [max(i for i, x in enumerate(vec) if x) for vec in basis]
-    x_cols = [[col[f] for f in free] for col in ab_cols]
-    for x_col, ab_col in zip(x_cols, ab_cols):
-        for i in range(n):
-            if sum(b[i] * x for b, x in zip(basis, x_col)) % p != ab_col[i]:
-                raise InvariantViolation("nullspace of W^T is not A-invariant over F_p: B X != A B")
-    return char_poly_mod_p(list(zip(*x_cols)), p)
-
-
 @dataclass(frozen=True)
 class PhiReport:
     """All F_p evidence for one (graph, prime) pair, self-checked on build.
@@ -138,7 +98,8 @@ class PhiReport:
     degree with p_main(A) e = 0; its degree is the rank of W mod p, and its
     coefficients are the coordinates of A^rank e in the walk vectors before
     it.  ``restricted_charpoly`` is the characteristic polynomial of A on the
-    nullspace of W^T.
+    nullspace K^perp of W^T, where K is the column space of W mod p: A on
+    K^perp is the dual of A on F_p^n / K, so it equals chi_A / p_main.
     """
 
     p: int
@@ -171,16 +132,20 @@ class PhiReport:
 def phi_report(g: Graph, p: int) -> PhiReport:
     """Assemble and cross-check the full per-prime evidence record.
 
+    The restricted characteristic polynomial is the quotient chi_A / p_main:
+    A on the nullspace K^perp of W^T is the dual of A on F_p^n / K, with
+    K = col(W mod p) cyclic of characteristic polynomial p_main (see the
+    module docstring).
+
     Checks performed (all proven, violations raise InvariantViolation):
-    deg sfp <= nullity <= deg phi; the divisibility chain
-    sfp | restricted | phi; the factorization
-    p_main * restricted == charpoly(A) mod p; and deg p_main == n - nullity.
+    p_main | charpoly(A) mod p; deg sfp <= nullity <= deg phi; the
+    divisibility chain sfp | restricted | phi; and deg p_main == n - nullity.
     """
     fpalg._check_modulus(p)
     n = g.n
     adj = g.adjacency()
     walk = _walk_mod_p(adj, p)
-    rank, main, basis = _eliminate_walk(walk, p)
+    rank, main = _eliminate_walk(walk, p)
     nullity = n - rank
     chi = char_poly_mod_p(adj, p)
     phi = _phi(chi, walk, p)
@@ -188,16 +153,15 @@ def phi_report(g: Graph, p: int) -> PhiReport:
         raise InvariantViolation("phi must be nonzero for a nonzero characteristic polynomial")
     sfp_phi = sfp(phi)
     sqrt_phi = sqrt_poly(phi)
-    restricted = _restricted_char_poly(adj, basis, p)
-
+    restricted, rem = chi.divmod(main)
+    if not rem.is_zero():
+        raise InvariantViolation(f"p-main does not divide chi(A) at p={p}")
     if not (sfp_phi.degree <= nullity <= max(phi.degree, 0)):
         raise InvariantViolation(f"degree bound broken at p={p}: deg sfp={sfp_phi.degree}, nullity={nullity}, deg phi={phi.degree}")
     if not restricted.divides(phi):
         raise InvariantViolation(f"restricted charpoly does not divide phi at p={p}")
     if not sfp_phi.divides(restricted):
         raise InvariantViolation(f"sfp(phi) does not divide the restricted charpoly at p={p}")
-    if main * restricted != chi:
-        raise InvariantViolation(f"p-main times restricted charpoly is not chi(A) at p={p}")
     if main.degree != n - nullity:
         raise InvariantViolation(f"p-main degree {main.degree} != rank {n - nullity} at p={p}")
     return PhiReport(p, n, nullity, phi, sfp_phi, sqrt_phi, restricted, main)

@@ -682,13 +682,15 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
     """Deterministic partial factorization: trial division plus Pollard rho.
 
     Effort levels: "low" is trial division to 10**6 only; "default" adds
-    Brent-Pollard rho with a cap of 2**20 compared pairs per composite;
-    "high" raises the cap to 2**24.  Rho runs whole Brent rounds only (no
-    advance without its comparisons): unless c = 1 collides, it compares at
-    most 2**20 - 1 (default) or 2**24 - 1 (high) pairs and stops.  The rho
-    parameter ladder is fixed (x0 = 2, c = 1, 2, 3, ...), and a later c runs
-    only after a collision, on the budget left, so results never depend on
-    call order.
+    Brent-Pollard rho with a cap of 2**20 compared pairs per distinct
+    composite; "high" raises the cap to 2**24.  A composite is factored once
+    however often it divides n: a cofactor root**k costs one run on root,
+    whose parts are carried with multiplicity k.  Rho runs whole Brent
+    rounds only (no advance without its comparisons): unless c = 1
+    collides, it compares at most 2**20 - 1 (default) or 2**24 - 1 (high)
+    pairs and stops.  The rho parameter ladder is fixed (x0 = 2,
+    c = 1, 2, 3, ...), and a later c runs only after a collision, on the
+    budget left, so results never depend on call order.
     """
     _check_effort(effort)
     if n < 1:
@@ -710,17 +712,17 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
                 n //= p
     cofactor = 1
     if n > 1:
-        stack = [n]
+        stack = [(n, 1)]  # (factor, multiplicity in n)
         while stack:
-            c = stack.pop()
+            c, m = stack.pop()
             # every factor left has no prime below the trial bound, so below
             # its square it is prime
             if c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
-                powers[c] = powers.get(c, 0) + 1
+                powers[c] = powers.get(c, 0) + m
                 continue
             root, k = _perfect_power(c)
             if k > 1:
-                stack.extend([root] * k)
+                stack.append((root, k * m))
                 continue
             budget = _RHO_BUDGET[effort]
             found = None
@@ -732,8 +734,8 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
                 if found is not None:
                     break
             if found is None:
-                cofactor *= c
+                cofactor *= c**m
             else:
-                stack.append(found)
-                stack.append(c // found)
+                stack.append((found, m))
+                stack.append((c // found, m))
     return FactorizationResult(tuple(sorted(powers.items())), cofactor)

@@ -6,7 +6,7 @@ import pytest
 from dgscert import specinv
 from dgscert.cospec import enumerate_generalized_cospectral_classes
 from dgscert.errors import InvariantViolation
-from dgscert.fpalg import _check_modulus
+from dgscert.fpalg import ModPoly, _check_modulus, char_poly_mod_p
 from dgscert.graphcore import Graph, derive_seed, random_graph
 from dgscert.zlinalg import _adj_apply, walk_matrix
 
@@ -47,7 +47,8 @@ def permuted(g: Graph, perm) -> Graph:
 
 
 # Gauss-Jordan over F_p: the oracle for the library's one elimination of the
-# walk (specinv._eliminate_walk)
+# walk (specinv._eliminate_walk) and, through the nullspace of W^T, for the
+# restricted characteristic polynomial chi_A / p_main
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -106,6 +107,26 @@ def nullspace_basis_p(m, p: int) -> list[tuple[int, ...]]:
     return basis
 
 
+def restricted_charpoly_oracle(g: Graph, p: int) -> ModPoly:
+    """Characteristic polynomial of A on the F_p nullspace of W^T by the
+    nullspace route: the oracle for ``phi_report``'s chi_A / p_main.
+
+    The nullspace is A-invariant, so with B its reduced-echelon basis
+    matrix, X in B X = A B is read off A B at the basis's free columns; the
+    result is the characteristic polynomial of the small matrix X.
+    """
+    adj = g.adjacency()
+    basis = nullspace_basis_p(list(zip(*walk_matrix(g))), p)
+    ab_cols = [_adj_apply(adj, vec, p) for vec in basis]
+    # each basis vector is 1 at its own free column (its last nonzero entry)
+    # and 0 at the others, so X holds the entries of A B at the free columns
+    free = [max(i for i, x in enumerate(vec) if x) for vec in basis]
+    x_cols = [[col[f] for f in free] for col in ab_cols]
+    for x_col, ab_col in zip(x_cols, ab_cols):
+        assert [sum(b[i] * x for b, x in zip(basis, x_col)) % p for i in range(g.n)] == ab_col
+    return char_poly_mod_p(list(zip(*x_cols)), p)
+
+
 def reduced_walk_matrix(g: Graph, p: int) -> list[tuple[int, ...]]:
     """Walk matrix with the p-divisible tail compressed out: the oracle for
     the nullity that ``phi_report`` gives, by the determinant drop.
@@ -120,7 +141,7 @@ def reduced_walk_matrix(g: Graph, p: int) -> list[tuple[int, ...]]:
     _check_modulus(p)
     n = g.n
     adj = g.adjacency()
-    rank, f, _ = specinv._eliminate_walk(specinv._walk_mod_p(adj, p), p)
+    rank, f = specinv._eliminate_walk(specinv._walk_mod_p(adj, p), p)
     if rank == n:
         raise ValueError(f"prime {p} does not divide det W, nothing to reduce")
     cols = list(zip(*walk_matrix(g)))
@@ -383,3 +404,16 @@ def wrong_nullity(monkeypatch):
         return dataclasses.replace(rep, nullity=rep.nullity + 1)
 
     monkeypatch.setattr(specinv, "phi_report", off_by_one)
+
+
+@pytest.fixture
+def shifted_m_p(monkeypatch):
+    """Make ``specinv._eliminate_walk`` return the minimal annihilator of e
+    with its constant term raised by one, so it no longer divides chi_A."""
+    real = specinv._eliminate_walk
+
+    def shifted(walk, p):
+        rank, main = real(walk, p)
+        return rank, ModPoly.make(p, (main.coeffs[0] + 1, *main.coeffs[1:]))
+
+    monkeypatch.setattr(specinv, "_eliminate_walk", shifted)

@@ -162,6 +162,14 @@ class TestInvariantViolationExit:
         (line,) = capsys.readouterr().err.splitlines()
         assert code == EXIT_INVARIANT and "disagrees with the invariant factors at p=3" in line
 
+    def test_invariants_checks_p_main_divides_chi(self, fixture_files, capsys, shifted_m_p):
+        code = main(["invariants", str(fixture_files / "dgs16.g6"), "-p", "3", "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVARIANT and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "invariant violated: p-main does not divide chi(A) at p=3" in line
+        assert line.endswith(f"(graph {emit_graph6(fixtures.dgs16_graph())})")
+
     @pytest.mark.parametrize(
         "command,target", [("table1", "certify_dgs"), ("conjecture-scan", "smith_normal_form")]
     )

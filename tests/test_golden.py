@@ -22,9 +22,11 @@ from dgscert.certify import certify_dgs, validate_verdict_dict
 from dgscert.cli import main
 from dgscert.cospec import ENUMERATION_MAX_N, enumerate_generalized_cospectral_classes
 from dgscert.fixtures import dgs16_graph, mate9_graph
+from dgscert.fpalg import format_poly
 from dgscert.graphcore import derive_seed, random_graph
 from dgscert.specinv import phi_report
 from dgscert.zlinalg import determinant, walk_matrix
+from conftest import restricted_charpoly_oracle
 
 DATA = Path(__file__).parent / "data"
 VERDICTS = DATA / "golden_verdicts.jsonl"
@@ -138,6 +140,14 @@ def test_certified_verdicts_report_every_odd_prime():
 
 def test_phi_reports_byte_identical():
     _assert_same_lines(phi_lines(), PHI)
+
+
+def test_golden_restricted_charpolys_match_the_nullspace_route():
+    lines = PHI.read_text(encoding="utf-8").splitlines()
+    cases = list(_phi_cases())
+    assert len(cases) == len(lines)
+    for (g, p), line in zip(cases, lines):
+        assert format_poly(restricted_charpoly_oracle(g, p)) == json.loads(line)["restricted"], (g.n, p)
 
 
 def test_mate_enumeration_byte_identical(mates_n7):

@@ -14,6 +14,7 @@ from conftest import (
     nullspace_basis_p,
     rank_p,
     reduced_walk_matrix,
+    restricted_charpoly_oracle,
     seeded_corpus,
     strong_pseudoprime_base_2,
 )
@@ -34,25 +35,24 @@ def P(p, *ascending):
 
 
 def _gauss_jordan_route(walk, p):
-    """Rank, minimal annihilator and nullspace basis of W^T as the library
-    took them before: the reduced echelon form of [W | A^n e], whose column
-    r holds the coordinates of A^r e, and a second one of W^T."""
-    n = len(walk) - 1
+    """Rank and minimal annihilator as the library took them before: the
+    reduced echelon form of [W | A^n e], whose column r holds the
+    coordinates of A^r e."""
     rows, pivots = _rref([list(row) for row in zip(*walk)], p)
     r = len(pivots)
     assert pivots == list(range(r))
     main = ModPoly.make(p, [-rows[i][r] for i in range(r)] + [1])
-    return r, main, nullspace_basis_p(walk[:n], p)
+    return r, main
 
 
 class TestEliminateWalk:
     def _check(self, g, p):
         walk = specinv._walk_mod_p(g.adjacency(), p)
-        rank, main, basis = specinv._eliminate_walk(walk, p)
-        # the reduced-echelon basis of a subspace is unique, so the vectors
-        # must agree entry for entry
-        assert (rank, main, basis) == _gauss_jordan_route(walk, p), (g.n, p)
-        return len(basis)
+        rank, main = specinv._eliminate_walk(walk, p)
+        assert (rank, main) == _gauss_jordan_route(walk, p), (g.n, p)
+        # chi_A / p_main against the nullspace route it replaced
+        assert phi_report(g, p).restricted_charpoly == restricted_charpoly_oracle(g, p), (g.n, p)
+        return g.n - rank
 
     @pytest.mark.parametrize("p", ELIM_PRIMES)
     def test_matches_gauss_jordan_on_seeded_graphs(self, p):
@@ -67,6 +67,10 @@ class TestEliminateWalk:
     @pytest.mark.parametrize("n,k,p", POOL_HIGH_NULLITY)
     def test_matches_gauss_jordan_at_high_nullity(self, n, k, p):
         assert self._check(random_graph(n, derive_seed(20211018, n, k)), p) >= 3
+
+    def test_matches_the_nullspace_route_at_n64(self):
+        # a 64-vertex pool graph of nullity 2 at p = 3
+        assert self._check(random_graph(64, derive_seed(20211018, 64, 2)), 3) == 2
 
 
 class TestPhiP:
@@ -142,13 +146,10 @@ class TestRestrictedCharPoly:
         # degree 2 and divisible by sfp(phi) = x^2+x+2, hence equal to it
         assert phi_report(dgs16_graph(), 3).restricted_charpoly == P(3, 2, 1, 1)
 
-    def test_non_invariant_nullspace_is_an_invariant_breach(self):
-        # W^T of dgs16 with the adjacency of another graph: the nullspace is
-        # not invariant under that matrix, and B X = A B must catch it
-        g, other = dgs16_graph(), random_graph(16, derive_seed(0xD1FF, 16))
-        basis = specinv._eliminate_walk(specinv._walk_mod_p(g.adjacency(), 3), 3)[2]
-        with pytest.raises(InvariantViolation, match="A-invariant"):
-            specinv._restricted_char_poly(other.adjacency(), basis, 3)
+    def test_p_main_not_dividing_chi_is_an_invariant_breach(self, shifted_m_p):
+        for g, p in ((dgs16_graph(), 3), (mate9_graph(), 5)):
+            with pytest.raises(InvariantViolation, match=f"p-main does not divide chi\\(A\\) at p={p}"):
+                phi_report(g, p)
 
     def test_mate9_divisibility_chain(self):
         from dgscert.fpalg import sfp

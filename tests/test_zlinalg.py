@@ -10,13 +10,16 @@ from dgscert.errors import InvariantViolation
 from dgscert.fixtures import dgs16_graph, mate9_graph
 from dgscert.fpalg import ModPoly, char_poly_mod_p
 from dgscert.graphcore import Graph, Xorshift64Star, derive_seed, random_graph
+from dgscert import zlinalg
 from dgscert.zlinalg import (
+    _RHO_BUDGET,
     _TRIAL_BLOCK,
     _TRIAL_LIMIT,
     _bareiss,
     _brent_rho,
     _eliminate,
     _small_primes,
+    FactorizationResult,
     char_poly_int,
     determinant,
     factor_integer,
@@ -552,6 +555,34 @@ class TestFactorInteger:
     def test_perfect_power(self):
         fr = factor_integer(10403**2)  # (101*103)^2
         assert fr.prime_powers == ((101, 2), (103, 2))
+
+    @staticmethod
+    def _count_rho(monkeypatch) -> list[int]:
+        calls = []
+
+        def counting(n, c, budget):
+            calls.append(n)
+            return _brent_rho(n, c, budget)
+
+        monkeypatch.setattr(zlinalg, "_brent_rho", counting)
+        return calls
+
+    def test_perfect_power_root_factored_once(self, monkeypatch):
+        # r**2 with r a product of two 40-bit primes: a 64-pair cap cannot
+        # split r, and the one run on r stands for both copies
+        r = 549755826239 * 1099511529101
+        monkeypatch.setitem(_RHO_BUDGET, "default", 64)
+        calls = self._count_rho(monkeypatch)
+        assert factor_integer(r**2) == FactorizationResult((), r**2)
+        assert calls == [r]
+        assert factor_integer(r**3) == FactorizationResult((), r**3)
+
+    def test_perfect_power_root_split_once(self, monkeypatch):
+        r = 1225550789 * 6442787651
+        calls = self._count_rho(monkeypatch)
+        fr = factor_integer(r**2)
+        assert fr.prime_powers == ((1225550789, 2), (6442787651, 2)) and fr.is_complete
+        assert calls == [r]
 
     def test_matches_sympy(self):
         gen = Xorshift64Star(59)
