@@ -25,7 +25,7 @@ from .certify import _prime_report, certify_dgs
 from .errors import InvariantViolation, _on_graph
 from .experiments import run_conjecture_scan, run_experiment
 from .graphcore import Graph, Graph6Error, parse_adjacency, parse_graph6
-from .zlinalg import smith_normal_form, walk_matrix
+from .zlinalg import _RHO_BUDGET, smith_normal_form, walk_matrix
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("certify", help="certify graphs as determined by their generalized spectrum")
     p.add_argument("input", nargs="+", help="input files ('-' for stdin)")
     p.add_argument("--format", choices=("auto", "graph6", "adj"), default="auto")
-    p.add_argument("--effort", choices=("low", "default", "high"), default="default")
+    p.add_argument("--effort", choices=_RHO_BUDGET, default="default")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True, help="JSON verdicts (default)")
     fmt.add_argument("--text", action="store_true", help="human-readable verdicts")
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="10,15,20")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--effort", choices=("low", "default", "high"), default="default")
+    p.add_argument("--effort", choices=_RHO_BUDGET, default="default")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--time-limit", type=float, default=None, help="seconds; partial output is marked")
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="10,12,14")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--effort", choices=("low", "default", "high"), default="default")
+    p.add_argument("--effort", choices=_RHO_BUDGET, default="default")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_conjecture_scan)

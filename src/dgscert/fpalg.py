@@ -7,8 +7,10 @@ coefficient.  Degrees never exceed the 64-vertex cap, so naive arithmetic
 is the right tool.  The modulus may be any odd prime: Python integers are
 unbounded, so a 200-bit prime costs only the wider arithmetic.  The
 characteristic polynomial comes from ``zlinalg``'s Hessenberg kernel, the
-one ``char_poly_int`` also runs.  The 2-adic side of the theory is handled
-by integer arithmetic elsewhere.
+one ``char_poly_int`` also runs.  ``specinv.phi_report`` calls that kernel
+directly, in a basis that starts at the all-ones vector, so that the same
+pass gives the rank of W mod p and the minimal annihilator of e as well.
+The 2-adic side of the theory is handled by integer arithmetic elsewhere.
 """
 
 from __future__ import annotations
@@ -270,4 +272,4 @@ def char_poly_mod_p(m, p: int) -> ModPoly:
     operations by reduction to Hessenberg form; 1 for the 0 x 0 matrix."""
     _check_modulus(p)
     rows = [[v % p for v in row] for row in _square_rows(m, "characteristic polynomial")]
-    return ModPoly(p, tuple(_charpoly_hessenberg(rows, p)))
+    return ModPoly(p, tuple(_charpoly_hessenberg(rows, p)[-1]))

@@ -4,15 +4,23 @@ annihilator of the all-ones vector and the characteristic polynomial of A
 restricted to the nullspace of W^T (the ``PhiReport`` fields ``phi``,
 ``p_main`` and ``restricted_charpoly``).
 
-A (graph, prime) pair costs one walk e, Ae, ..., A^n e reduced mod p, one
-forward elimination of it over F_p (``_eliminate_walk``), which gives the
-rank r of W and the minimal annihilator m_p of e, and one characteristic
-polynomial chi_A, from a Hessenberg reduction.  A + J is never formed (see
-``_phi``).
+A (graph, prime) pair costs one Hessenberg reduction of A over F_p
+(``_hessenberg_at_e``), which gives all three quantities the report rests
+on: the characteristic polynomial chi_A, the rank r of W mod p and the
+minimal annihilator m_p of the all-ones vector e.  The reduction runs on
+S^-1 A S with S = I + (e - e_0) e_0^T, whose basis vector 0 is e, and its
+transform fixes basis vector 0.  So with q_0 = e and q_1, q_2, ... its later
+basis vectors, A q_m = sum_(i <= m+1) h[i][m] q_i, and while the subdiagonal
+entries h[1][0], ..., h[m][m-1] are nonzero, q_0, ..., q_m span the same
+space as e, Ae, ..., A^m e.  At the first zero subdiagonal entry h[r][r-1]
+(r = n if there is none) A q_(r-1) falls back into that span: the Krylov
+space of e, which is K = col(W mod p), closes at dimension r.  The leading
+r x r block of H is A on K in a basis of K; K is cyclic, so the
+characteristic polynomial of that block, which the kernel's recurrence
+builds on the way to chi_A, is m_p.  A + J is never formed (see ``_phi``).
 
-The restricted characteristic polynomial is chi_A / m_p.  K = col(W mod p)
-is the cyclic subspace spanned by e, Ae, ..., A^(r-1) e, on which A has
-characteristic polynomial m_p; so A on the quotient F_p^n / K has
+The restricted characteristic polynomial is chi_A / m_p.  A has
+characteristic polynomial m_p on K, so A on the quotient F_p^n / K has
 chi_A / m_p.  The nullspace of W^T is K^perp, which is A-invariant because
 A is symmetric, and the pairing of F_p^n / K with K^perp is nondegenerate
 with <Ax, y> = <x, Ay>: A on K^perp is the dual of A on F_p^n / K and has
@@ -30,50 +38,30 @@ from dataclasses import dataclass
 
 from . import fpalg
 from .errors import InvariantViolation
-from .fpalg import ModPoly, char_poly_mod_p, format_poly, poly_gcd, sfp, sqrt_poly
+from .fpalg import ModPoly, format_poly, poly_gcd, sfp, sqrt_poly
 from .graphcore import Graph
-from .zlinalg import _adj_apply
+from .zlinalg import _adj_apply, _charpoly_hessenberg
 
 
-def _walk_mod_p(adj: list[list[int]], p: int) -> list[list[int]]:
-    """e, Ae, ..., A^n e reduced mod p: the n columns of W, then A^n e."""
-    walk = [[1] * len(adj)]
-    for _ in range(len(adj)):
-        walk.append(_adj_apply(adj, walk[-1], p))
-    return walk
-
-
-def _eliminate_walk(walk: list[list[int]], p: int) -> tuple[int, ModPoly]:
-    """Rank r of W mod p and the minimal annihilator of e, from one forward
-    elimination of the walk vectors e, Ae, ... taken in order.
-
-    Each echelon row carries its coordinates in the walk vectors.  Once a walk
-    vector depends on the earlier ones every later one does, so the first
-    vector that reduces to zero is A^r e, and its coordinates are the
-    annihilator.
+def _hessenberg_at_e(adj: list[list[int]], p: int) -> tuple[int, ModPoly, ModPoly]:
+    """Rank r of W mod p, the minimal annihilator m_p of e and chi_A, from
+    one Hessenberg reduction of A over F_p in a basis whose vector 0 is e
+    (see the module docstring).
 
     >>> path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    >>> _eliminate_walk(_walk_mod_p(path, 3), 3)
-    (2, ModPoly(p=3, coeffs=(1, 0, 1)))
+    >>> _hessenberg_at_e(path, 3)
+    (2, ModPoly(p=3, coeffs=(1, 0, 1)), ModPoly(p=3, coeffs=(0, 1, 0, 1)))
     """
-    n = len(walk[0])
-    rows: list[list[int]] = []  # [row | coordinates], 1 at the pivot
-    pivots: list[int] = []
-    for k, vec in enumerate(walk):
-        v = [*vec, *[0] * k, 1]
-        for row, col in zip(rows, pivots):
-            if x := v[col]:
-                v[: len(row)] = [(a - x * b) % p for a, b in zip(v, row)]
-        col = next((j for j in range(n) if v[j]), None)
-        if col is None:
-            break
-        inv = pow(v[col], -1, p)
-        rows.append([x * inv % p for x in v])
-        pivots.append(col)
-    return len(rows), ModPoly(p, tuple(v[n:]))
+    n = len(adj)
+    # S^-1 A S: column 0 becomes Ae, then row 0 is subtracted from the others
+    h = [[x, *row[1:]] for row, x in zip(adj, _adj_apply(adj, [1] * n, p))]
+    h[1:] = [[(a - b) % p for a, b in zip(row, h[0])] for row in h[1:]]
+    polys = _charpoly_hessenberg(h, p)
+    r = next((m for m in range(1, n) if not h[m][m - 1]), n)
+    return r, ModPoly(p, tuple(polys[r])), ModPoly(p, tuple(polys[n]))
 
 
-def _phi(chi: ModPoly, walk: list[list[int]], p: int) -> ModPoly:
+def _phi(chi: ModPoly, adj: list[list[int]], p: int) -> ModPoly:
     """Monic gcd over F_p of the characteristic polynomials of A and A + J.
 
     A + J is never formed: by the matrix determinant lemma
@@ -81,9 +69,13 @@ def _phi(chi: ModPoly, walk: list[list[int]], p: int) -> ModPoly:
     q_m = sum_k c_{m+k+1} N_k, where chi_A = sum_j c_j x^j and N_k = e^T A^k e
     is the k-th column sum of W.  So phi = gcd(chi_A, q).
     """
-    n = len(walk) - 1
+    n = len(adj)
     c = chi.coeffs
-    sums = [sum(v) for v in walk[:n]]
+    v = [1] * n
+    sums = [n]
+    for _ in range(n - 1):
+        v = _adj_apply(adj, v, p)
+        sums.append(sum(v))
     q = [sum(c[m + k + 1] * sums[k] for k in range(n - m)) for m in range(n)]
     return poly_gcd(chi, ModPoly.make(p, q))
 
@@ -138,17 +130,15 @@ def phi_report(g: Graph, p: int) -> PhiReport:
     module docstring).
 
     Checks performed (all proven, violations raise InvariantViolation):
-    p_main | charpoly(A) mod p; deg sfp <= nullity <= deg phi; the
-    divisibility chain sfp | restricted | phi; and deg p_main == n - nullity.
+    p_main | charpoly(A) mod p; deg sfp <= nullity <= deg phi; and the
+    divisibility chain sfp | restricted | phi.
     """
     fpalg._check_modulus(p)
     n = g.n
     adj = g.adjacency()
-    walk = _walk_mod_p(adj, p)
-    rank, main = _eliminate_walk(walk, p)
+    rank, main, chi = _hessenberg_at_e(adj, p)
     nullity = n - rank
-    chi = char_poly_mod_p(adj, p)
-    phi = _phi(chi, walk, p)
+    phi = _phi(chi, adj, p)
     if phi.is_zero():
         raise InvariantViolation("phi must be nonzero for a nonzero characteristic polynomial")
     sfp_phi = sfp(phi)
@@ -162,6 +152,4 @@ def phi_report(g: Graph, p: int) -> PhiReport:
         raise InvariantViolation(f"restricted charpoly does not divide phi at p={p}")
     if not sfp_phi.divides(restricted):
         raise InvariantViolation(f"sfp(phi) does not divide the restricted charpoly at p={p}")
-    if main.degree != n - nullity:
-        raise InvariantViolation(f"p-main degree {main.degree} != rank {n - nullity} at p={p}")
     return PhiReport(p, n, nullity, phi, sfp_phi, sqrt_phi, restricted, main)

@@ -227,15 +227,19 @@ def determinant(m) -> int:
     return lead if rank == len(rows) else 0
 
 
-def _charpoly_hessenberg(h: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial of a square matrix over Z/p, ascending.
+def _charpoly_hessenberg(h: list[list[int]], p: int) -> list[list[int]]:
+    """Characteristic polynomials over Z/p of the leading m x m blocks of the
+    Hessenberg form of a square matrix, for m = 0 .. n, ascending; the last
+    is that of the whole matrix.
 
-    The rows ``h`` must hold residues mod p and are overwritten.  A similarity
-    transform first brings the matrix to upper Hessenberg form H: for each
-    column k, any nonzero entry below the subdiagonal is swapped (row and
-    column) to (k+1, k), the entries below it are cleared with its inverse,
-    and the inverse column operation keeps the transform a similarity.
-    The polynomials p_m of the leading m x m blocks of H then follow from
+    The rows ``h`` must hold residues mod p; on return they hold H.  A
+    similarity transform brings the matrix to upper Hessenberg form H: for
+    each column k, any nonzero entry below the subdiagonal is swapped (row
+    and column) to (k+1, k), the entries below it are cleared with its
+    inverse, and the inverse column operation keeps the transform a
+    similarity.  Basis vector 0 is never swapped or combined, so the
+    transform fixes it.  The polynomials p_m of the leading blocks then
+    follow from
 
         p_m = (x - h[m-1][m-1]) p_(m-1)
               - sum_i h[i][m-1] h[i+1][i] ... h[m-1][m-2] p_i,
@@ -243,8 +247,11 @@ def _charpoly_hessenberg(h: list[list[int]], p: int) -> list[int]:
     where a zero subdiagonal entry ends the product, so O(n^3) in all.  Only
     the pivots are inverted, so p need not be prime (see ``char_poly_int``).
 
-    >>> _charpoly_hessenberg([[0, 1], [1, 0]], 3)
-    [2, 0, 1]
+    >>> h = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    >>> _charpoly_hessenberg(h, 3)
+    [[1], [0, 1], [1, 0, 1], [0, 1, 0, 1]]
+    >>> h
+    [[0, 2, 1], [1, 0, 0], [0, 0, 0]]
     """
     n = len(h)
     for k in range(n - 2):
@@ -287,7 +294,7 @@ def _charpoly_hessenberg(h: list[list[int]], p: int) -> list[int]:
                 for d, v in enumerate(polys[i]):
                     new[d] -= c * v
         polys.append([v % p for v in new])
-    return polys[n]
+    return polys
 
 
 def char_poly_int(m) -> tuple[int, ...]:
@@ -313,7 +320,7 @@ def char_poly_int(m) -> tuple[int, ...]:
     q = 2 * bound + 1
     while not is_prime(q):
         q += 2  # q stays odd
-    coeffs = _charpoly_hessenberg([[v % q for v in row] for row in rows], q)
+    coeffs = _charpoly_hessenberg([[v % q for v in row] for row in rows], q)[-1]
     return tuple(c - q if c > bound else c for c in coeffs)
 
 

@@ -46,8 +46,9 @@ def permuted(g: Graph, perm) -> Graph:
     return Graph.from_adjacency([[int(g.has_edge(perm[i], perm[j])) for j in range(g.n)] for i in range(g.n)])
 
 
-# Gauss-Jordan over F_p: the oracle for the library's one elimination of the
-# walk (specinv._eliminate_walk) and, through the nullspace of W^T, for the
+# Gauss-Jordan over F_p: the oracle for the rank of W and the minimal
+# annihilator of e that the library reads off one Hessenberg pass
+# (specinv._hessenberg_at_e) and, through the nullspace of W^T, for the
 # restricted characteristic polynomial chi_A / p_main
 
 
@@ -107,6 +108,21 @@ def nullspace_basis_p(m, p: int) -> list[tuple[int, ...]]:
     return basis
 
 
+def gauss_jordan_route(g: Graph, p: int) -> tuple[int, ModPoly]:
+    """Rank of W mod p and the minimal annihilator of e from the reduced
+    echelon form of [W | A^n e]: its column r holds the coordinates of
+    A^r e in e, Ae, ..., A^(r-1) e."""
+    _check_modulus(p)
+    adj = g.adjacency()
+    cols = [[1] * g.n]
+    for _ in range(g.n):
+        cols.append(_adj_apply(adj, cols[-1], p))
+    rows, pivots = _rref([list(row) for row in zip(*cols)], p)
+    r = len(pivots)
+    assert pivots == list(range(r))
+    return r, ModPoly.make(p, [-rows[i][r] for i in range(r)] + [1])
+
+
 def restricted_charpoly_oracle(g: Graph, p: int) -> ModPoly:
     """Characteristic polynomial of A on the F_p nullspace of W^T by the
     nullspace route: the oracle for ``phi_report``'s chi_A / p_main.
@@ -138,10 +154,9 @@ def reduced_walk_matrix(g: Graph, p: int) -> list[tuple[int, ...]]:
     are A applied to an integer vector.  The determinant shrinks by exactly
     p**k.
     """
-    _check_modulus(p)
     n = g.n
     adj = g.adjacency()
-    rank, f = specinv._eliminate_walk(specinv._walk_mod_p(adj, p), p)
+    rank, f = gauss_jordan_route(g, p)
     if rank == n:
         raise ValueError(f"prime {p} does not divide det W, nothing to reduce")
     cols = list(zip(*walk_matrix(g)))
@@ -408,12 +423,32 @@ def wrong_nullity(monkeypatch):
 
 @pytest.fixture
 def shifted_m_p(monkeypatch):
-    """Make ``specinv._eliminate_walk`` return the minimal annihilator of e
+    """Make ``specinv._hessenberg_at_e`` return the minimal annihilator of e
     with its constant term raised by one, so it no longer divides chi_A."""
-    real = specinv._eliminate_walk
+    real = specinv._hessenberg_at_e
 
-    def shifted(walk, p):
-        rank, main = real(walk, p)
-        return rank, ModPoly.make(p, (main.coeffs[0] + 1, *main.coeffs[1:]))
+    def shifted(adj, p):
+        rank, main, chi = real(adj, p)
+        return rank, ModPoly.make(p, (main.coeffs[0] + 1, *main.coeffs[1:])), chi
 
-    monkeypatch.setattr(specinv, "_eliminate_walk", shifted)
+    monkeypatch.setattr(specinv, "_hessenberg_at_e", shifted)
+
+
+@pytest.fixture
+def dropped_rank(monkeypatch):
+    """Make ``specinv._hessenberg_at_e`` read the Krylov space of e as closing
+    one step early: rank r - 1 and, as m_p, the polynomial of the leading
+    (r - 1) x (r - 1) block that the kernel built on the way."""
+    real_kernel, real = specinv._charpoly_hessenberg, specinv._hessenberg_at_e
+    polys = []
+
+    def recording(h, p):
+        polys[:] = real_kernel(h, p)
+        return polys
+
+    def dropped(adj, p):
+        rank, _, chi = real(adj, p)
+        return rank - 1, ModPoly(p, tuple(polys[rank - 1])), chi
+
+    monkeypatch.setattr(specinv, "_charpoly_hessenberg", recording)
+    monkeypatch.setattr(specinv, "_hessenberg_at_e", dropped)

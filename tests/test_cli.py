@@ -12,6 +12,7 @@ from dgscert import cli, cospec, experiments, fixtures, specinv
 from dgscert.certify import (
     STATUS_FACTORIZATION_INCOMPLETE,
     STATUS_NOT_CONTROLLABLE,
+    _prime_report,
     certify_dgs,
     validate_verdict_dict,
 )
@@ -19,6 +20,7 @@ from dgscert.cli import EXIT_INVARIANT, main
 from dgscert.errors import InvariantViolation
 from dgscert.experiments import ExperimentRow, run_conjecture_scan, run_experiment
 from dgscert.graphcore import derive_seed, emit_adjacency, emit_graph6, random_graph
+from dgscert.zlinalg import smith_normal_form, walk_matrix
 from conftest import BIG_PRIME, BIG_PRIME_GRAPH
 
 
@@ -169,6 +171,17 @@ class TestInvariantViolationExit:
         (line,) = captured.err.splitlines()
         assert "invariant violated: p-main does not divide chi(A) at p=3" in line
         assert line.endswith(f"(graph {emit_graph6(fixtures.dgs16_graph())})")
+
+    def test_invariants_checks_the_rank_of_the_hessenberg_pass(self, fixture_files, capsys, dropped_rank):
+        g = fixtures.dgs16_graph()
+        for p in (3, 5, 7):
+            with pytest.raises(InvariantViolation):
+                _prime_report(g, smith_normal_form(walk_matrix(g)), p)
+        code = main(["invariants", str(fixture_files / "dgs16.g6"), "-p", "3", "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVARIANT and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.endswith(f"(graph {emit_graph6(g)})")
 
     @pytest.mark.parametrize(
         "command,target", [("table1", "certify_dgs"), ("conjecture-scan", "smith_normal_form")]

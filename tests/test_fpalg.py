@@ -220,7 +220,7 @@ class TestSfpSqrt:
 
 
 class TestLinearAlgebraModP:
-    # the Gauss-Jordan helpers of conftest, the oracle for specinv._eliminate_walk
+    # the Gauss-Jordan helpers of conftest, the oracle for specinv._hessenberg_at_e
 
     def test_rank_identity(self):
         for p in (3, 5, 7):

@@ -10,7 +10,7 @@ from dgscert.zlinalg import determinant, walk_matrix
 from conftest import (
     BIG_PRIME,
     BIG_PRIME_GRAPH,
-    _rref,
+    gauss_jordan_route,
     nullspace_basis_p,
     rank_p,
     reduced_walk_matrix,
@@ -23,8 +23,8 @@ from conftest import (
 DIFF_GRAPHS = [Graph(1, (0,))] + [random_graph(n, derive_seed(0xD1FF, n)) for n in (*range(2, 31), 48)]
 DIFF_PRIMES = (3, 5, 10**6 + 3, 2**61 - 1)
 
-# inputs for the one elimination of the walk against the two Gauss-Jordan
-# passes it replaced: (n, k, p) of certify_corpus pool graphs
+# inputs for the one Hessenberg pass per prime against the Gauss-Jordan
+# elimination of the walk: (n, k, p) of certify_corpus pool graphs
 # random_graph(n, derive_seed(20211018, n, k)) of nullity 3, 4 and 5 at p
 POOL_HIGH_NULLITY = ((20, 23, 3), (20, 47, 5), (20, 65, 7), (20, 68, 5), (25, 1, 3))
 ELIM_PRIMES = (3, 5, 7, 11, 13, 10**6 + 3, 2**61 - 1, 2**89 - 1)
@@ -34,22 +34,15 @@ def P(p, *ascending):
     return ModPoly.make(p, ascending)
 
 
-def _gauss_jordan_route(walk, p):
-    """Rank and minimal annihilator as the library took them before: the
-    reduced echelon form of [W | A^n e], whose column r holds the
-    coordinates of A^r e."""
-    rows, pivots = _rref([list(row) for row in zip(*walk)], p)
-    r = len(pivots)
-    assert pivots == list(range(r))
-    main = ModPoly.make(p, [-rows[i][r] for i in range(r)] + [1])
-    return r, main
-
-
 class TestEliminateWalk:
+    """The one Hessenberg pass per prime, ``specinv._hessenberg_at_e``,
+    against the Gauss-Jordan elimination of the walk and ``char_poly_mod_p``."""
+
     def _check(self, g, p):
-        walk = specinv._walk_mod_p(g.adjacency(), p)
-        rank, main = specinv._eliminate_walk(walk, p)
-        assert (rank, main) == _gauss_jordan_route(walk, p), (g.n, p)
+        adj = g.adjacency()
+        rank, main, chi = specinv._hessenberg_at_e(adj, p)
+        assert (rank, main) == gauss_jordan_route(g, p), (g.n, p)
+        assert chi == char_poly_mod_p(adj, p), (g.n, p)
         # chi_A / p_main against the nullspace route it replaced
         assert phi_report(g, p).restricted_charpoly == restricted_charpoly_oracle(g, p), (g.n, p)
         return g.n - rank
@@ -63,6 +56,8 @@ class TestEliminateWalk:
     def test_matches_gauss_jordan_on_fixtures(self):
         assert self._check(mate9_graph(), 3) == 2
         assert self._check(dgs16_graph(), 3) == 2
+        # the mate's walk matrix has a different Smith form
+        assert self._check(mate9_mate_graph(), 3) == 1
 
     @pytest.mark.parametrize("n,k,p", POOL_HIGH_NULLITY)
     def test_matches_gauss_jordan_at_high_nullity(self, n, k, p):
@@ -71,6 +66,18 @@ class TestEliminateWalk:
     def test_matches_the_nullspace_route_at_n64(self):
         # a 64-vertex pool graph of nullity 2 at p = 3
         assert self._check(random_graph(64, derive_seed(20211018, 64, 2)), 3) == 2
+
+    def test_krylov_space_closing_at_once(self, k1):
+        # the Krylov space of e is closed from the start: n = 1; the edgeless
+        # graph, where Ae = 0; and the star K_1,4 at p = 3, where Ae = e
+        edgeless = Graph.from_edges(3, [])
+        star = Graph.from_edges(5, [(0, leaf) for leaf in range(1, 5)])
+        for p in ELIM_PRIMES:
+            assert self._check(k1, p) == 0
+            assert self._check(edgeless, p) == 2
+        assert self._check(star, 3) == 4
+        assert specinv._hessenberg_at_e(edgeless.adjacency(), 3)[1] == P(3, 0, 1)
+        assert specinv._hessenberg_at_e(star.adjacency(), 3)[1] == P(3, -1, 1)
 
 
 class TestPhiP:

@@ -893,8 +893,9 @@ def test_doctests():
 
     results = doctest.testmod(dgscert.zlinalg)
     # _bareiss carries two examples (one takes the one-step stage),
-    # _charpoly_hessenberg, char_poly_int, _coprime_split and _eliminate one
-    # each, _brent_rho three
+    # _charpoly_hessenberg three (its polys list, then H left in its
+    # argument), char_poly_int, _coprime_split and _eliminate one each,
+    # _brent_rho three
     assert results.failed == 0 and results.attempted >= 9
     results = doctest.testmod(dgscert.fpalg)
     # format_poly carries one
@@ -903,7 +904,7 @@ def test_doctests():
     # _check_schema carries one
     assert results.failed == 0 and results.attempted >= 1
     results = doctest.testmod(dgscert.specinv)
-    # _eliminate_walk carries one
+    # _hessenberg_at_e carries one
     assert results.failed == 0 and results.attempted >= 1
     results = doctest.testmod(conftest)
     # the test oracles bareiss_one_step and eliminate_over_z carry one each
