@@ -35,6 +35,7 @@ theorems double as runtime self-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import fpalg
 from .errors import InvariantViolation
@@ -67,15 +68,16 @@ def _phi(chi: ModPoly, adj: list[list[int]], p: int) -> ModPoly:
     A + J is never formed: by the matrix determinant lemma
     chi_{A+J} = chi_A - e^T adj(xI - A) e = chi_A - q with
     q_m = sum_k c_{m+k+1} N_k, where chi_A = sum_j c_j x^j and N_k = e^T A^k e
-    is the k-th column sum of W.  So phi = gcd(chi_A, q).
+    is the k-th column sum of W.  So phi = gcd(chi_A, q).  A is symmetric,
+    so with u_j = A^j e mod p the sums are N_(2j) = u_j . u_j and
+    N_(2j+1) = u_j . u_(j+1): floor(n/2) products with A give all n of them.
     """
     n = len(adj)
     c = chi.coeffs
-    v = [1] * n
-    sums = [n]
-    for _ in range(n - 1):
-        v = _adj_apply(adj, v, p)
-        sums.append(sum(v))
+    walk = [[1] * n]
+    for _ in range(n // 2):
+        walk.append(_adj_apply(adj, walk[-1], p))
+    sums = [sum(map(mul, walk[k // 2], walk[(k + 1) // 2])) for k in range(n)]
     q = [sum(c[m + k + 1] * sums[k] for k in range(n - m)) for m in range(n)]
     return poly_gcd(chi, ModPoly.make(p, q))
 

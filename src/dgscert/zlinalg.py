@@ -6,18 +6,34 @@ Determinants and ranks come from one two-step Bareiss fraction-free
 elimination: each active entry is updated once per two pivots with one exact
 division, and a one-step stage runs where the next leading minor is 0 or
 a two-step pass would skip the trailing (n-1)-minors.  Only the rank, the
-leading minor and those trailing minors are returned, so entries outside
-the active block are left stale.  Characteristic
+leading minor, those trailing minors and, on request, one copy of the
+active block are returned, so entries outside the active block are left
+stale.  Characteristic
 polynomials come from one Hessenberg kernel over Z/p (over Z it runs once
 modulo a prime above twice the Hadamard bound of the coefficients, whose
 residues are lifted to the symmetric range), and the Smith normal form of
-every square matrix from one elimination modulo a multiple of d_1 ... d_r
+every square matrix from one elimination modulo a multiple M of d_1 ... d_r
 that the determinant's elimination supplies (r the rank): a small multiple
-of d_1 ... d_(n-1) at full rank, a nonzero r x r minor below it.  Each stage
-of that modular elimination pivots on a unit mod the modulus when the active
-block has one and clears its column in one row pass; a block without one
-has its gcd with the modulus divided out, or the modulus split into coprime
-parts, until it has.
+of d_1 ... d_(n-1) at full rank, a nonzero r x r minor below it.
+
+That modular elimination starts where Bareiss leaves off.  The rows are
+first ordered by one elimination over F_2 so that the leading minors
+Delta_1 ... Delta_s are odd (s = rank_2 W for a walk matrix, whose M is
+even, so that an even Delta_t would be of no use), and Bareiss keeps its
+active block B_t at one stage t <= s.  By Sylvester's identity B_t =
+Delta_t S, with S = W22 - W21 W11^-1 W12 the Schur complement of the
+leading t x t block W11, and when gcd(Delta_t, M) = 1 block LU over Z/M,
+
+    W = [I 0; W21 W11^-1 I] [W11 0; 0 S] [I W11^-1 W12; 0 I],
+
+makes W equivalent to diag(W11, S) there, and so to diag(I_t, S), W11
+being invertible.  Delta_t is a unit mod M, so B_t mod M has the Smith form
+of S, and only that (n-t) x (n-t) block is eliminated: the factors are t
+ones and then its own.  Otherwise t = 0 and the whole matrix is eliminated
+mod M.  Each stage of the modular elimination pivots on a unit mod the
+modulus when the active block has one and clears its column in one row
+pass; a block without one has its gcd with the modulus divided out, or the
+modulus split into coprime parts, until it has.
 Factorization is deterministic for a fixed effort level; its trial
 division takes one gcd per block of small primes.
 """
@@ -121,9 +137,46 @@ def _square_rows(m, what: str) -> list[list[int]]:
     return rows
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
+def _odd_leading_order(rows: list[list[int]]) -> tuple[int, int]:
+    """Reorder the rows in place so that the leading minors Delta_1 ...
+    Delta_r are odd, with r as large as any row order allows; return r and
+    the sign of the row permutation.
+
+    One forward elimination over F_2 with row swaps and no column moves,
+    each row packed as an int whose bit j is its entry j mod 2: stage t
+    swaps to position t a row whose reduced bit t is set and clears bit t
+    from the rows below it.  This is an LU factorization mod 2 of the
+    reordered matrix, so Delta_t is odd for t <= r.  Stage r finds no such
+    row: column r is then a combination of the columns before it mod 2, and
+    for a Krylov matrix such as W that makes r = rank_2 W.
+
+    >>> rows = [[2, 1, 1], [1, 1, 0], [1, 0, 1]]
+    >>> _odd_leading_order(rows)
+    (2, -1)
+    >>> rows
+    [[1, 1, 0], [2, 1, 1], [1, 0, 1]]
+    """
+    n = len(rows)
+    bits = [sum(1 << j for j, v in enumerate(row) if v & 1) for row in rows]
+    sign = 1
+    for t in range(n):
+        piv = next((i for i in range(t, n) if bits[i] >> t & 1), None)
+        if piv is None:
+            return t, sign
+        if piv != t:
+            bits[t], bits[piv] = bits[piv], bits[t]
+            rows[t], rows[piv] = rows[piv], rows[t]
+            sign = -sign
+        b = bits[t]
+        for i in range(t + 1, n):
+            if bits[i] >> t & 1:
+                bits[i] ^= b
+    return n, sign
+
+
+def _bareiss(rows: list[list[int]], depth: int = 0) -> tuple[int, int, tuple[int, ...], tuple | None]:
     """Two-step Bareiss fraction-free elimination in place: (rank, lead,
-    trailing minors).
+    trailing minors, Schur block).
 
     Every division performed is exact, so intermediate entries stay at the
     size of minors of the input rather than exploding exponentially.  At
@@ -151,27 +204,33 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
     p1 != 0 is the pivot stage t+1 would find, a two-step pass replaces no
     swap, so the permutations, and every returned integer, are those of the
     one-step elimination.  Entries outside the active block are left
-    stale: only the returned triple is meaningful.  ``lead`` is the leading
-    r x r minor of the permuted matrix times the sign of the swaps, so it
-    is det when r = n.  The 2x2 active block at stage n-2 holds four
-    (n-1)-minors, which t + 3 < n keeps a two-step pass from skipping; they
-    are the third item (the four entries when n = 2, empty when n < 2 or
-    when the rank proves short before that stage).
+    stale.  ``lead`` is the leading r x r minor of the permuted matrix
+    times the sign of the swaps, so it is det when r = n.  The 2x2 active
+    block at stage n-2 holds four (n-1)-minors, which t + 3 < n keeps a
+    two-step pass from skipping; they are the third item (the four entries
+    when n = 2, empty when n < 2 or when the rank proves short before that
+    stage).  The fourth is (t, prev, block): a copy of the active block at
+    the deepest stage t with 0 < t <= ``depth`` that the elimination
+    visits, taken after that stage's swaps and before its pass, so block =
+    prev * S for the Schur complement S of the leading t x t block of the
+    permuted matrix; None when it visits no such stage.
 
-    >>> _bareiss([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    (2, -3, (-3, -6, -6, -12))
+    >>> _bareiss([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 1)
+    (2, -3, (-3, -6, -6, -12), (1, 1, [[-3, -6], [-6, -12]]))
 
     The leading 2x2 minor here is 0, so stage 0 is one-step and stage 1
     swaps rows:
 
     >>> _bareiss([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]])
-    (4, -1, (1, 0, 1, 1))
+    (4, -1, (1, 0, 1, 1), None)
     """
     n = len(rows)
     a = rows
     sign = 1
     prev = 1
     minors: tuple[int, ...] = ()
+    schur = None
+    depth = min(depth, n - 1)  # stage n - 1 is the last
     t = 0
     while t < n:
         if t == n - 2:
@@ -181,7 +240,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
             if r is None:
                 j = next((j for j in range(t + 1, n) if any(row[j] for row in a[t:])), None)
                 if j is None:
-                    return t, sign * prev, minors
+                    return t, sign * prev, minors, schur
                 for row in a[t:]:
                     row[t], row[j] = row[j], row[t]
                 sign = -sign
@@ -191,39 +250,42 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
                 sign = -sign
         row_t = a[t]
         p0 = row_t[t]
+        p1 = 0
         if t + 3 < n:
             row_u = a[t + 1]
             c, d, q = row_t[t + 1], row_u[t], row_u[t + 1]
             p1 = (p0 * q - d * c) // prev
-            if p1:
-                tail_t = row_t[t + 2 :]
-                tail_u = row_u[t + 2 :]
-                for i in range(t + 2, n):
-                    row_i = a[i]
-                    x, y = row_i[t], row_i[t + 1]
-                    b = (p0 * y - x * c) // prev
-                    e = (d * y - q * x) // prev
-                    row_i[t + 2 :] = [
-                        (p1 * v + e * vt - b * vu) // prev for v, vt, vu in zip(row_i[t + 2 :], tail_t, tail_u)
-                    ]
-                prev = p1
-                t += 2
-                continue
-        tail_t = row_t[t + 1 :]
-        for i in range(t + 1, n):
-            row_i = a[i]
-            f = row_i[t]
-            row_i[t + 1 :] = [(v * p0 - f * vt) // prev for v, vt in zip(row_i[t + 1 :], tail_t)]
-        prev = p0
-        t += 1
-    return n, sign * prev, minors
+        step = 2 if p1 else 1
+        if 0 < t <= depth < t + step:
+            schur = t, prev, [row[t:] for row in a[t:]]
+        if p1:
+            tail_t = row_t[t + 2 :]
+            tail_u = row_u[t + 2 :]
+            for i in range(t + 2, n):
+                row_i = a[i]
+                x, y = row_i[t], row_i[t + 1]
+                b = (p0 * y - x * c) // prev
+                e = (d * y - q * x) // prev
+                row_i[t + 2 :] = [
+                    (p1 * v + e * vt - b * vu) // prev for v, vt, vu in zip(row_i[t + 2 :], tail_t, tail_u)
+                ]
+            prev = p1
+        else:
+            tail_t = row_t[t + 1 :]
+            for i in range(t + 1, n):
+                row_i = a[i]
+                f = row_i[t]
+                row_i[t + 1 :] = [(v * p0 - f * vt) // prev for v, vt in zip(row_i[t + 1 :], tail_t)]
+            prev = p0
+        t += step
+    return n, sign * prev, minors, schur
 
 
 def determinant(m) -> int:
     """Exact determinant by two-step Bareiss fraction-free elimination
     (``_bareiss``)."""
     rows = _square_rows(m, "determinant")
-    rank, lead, _ = _bareiss(rows)
+    rank, lead = _bareiss(rows)[:2]
     return lead if rank == len(rows) else 0
 
 
@@ -409,32 +471,63 @@ def _eliminate(a: list[list[int]], modulus: int) -> tuple[int, ...]:
 def smith_normal_form(m) -> SnfResult:
     """Invariant factors of an integer matrix under unimodular row/column ops.
 
-    One two-step Bareiss elimination (``_bareiss``) gives the rank r and a
-    nonzero r x r minor ``lead`` (the determinant when r = n), and the four
+    The rows are first ordered so that the leading minors Delta_1 ...
+    Delta_r are odd (``_odd_leading_order``; r = rank_2 W for a walk
+    matrix).  One two-step Bareiss elimination (``_bareiss``) of the
+    ordered rows gives the rank, a nonzero minor ``lead`` of that size (the
+    determinant, up to the order's sign, at full rank), the four
     (n-1)-minors of its active block at stage n-2, which it never passes
-    over; its other entries are left stale.  One elimination over Z/M
-    gives gcd(d_i, M) for each i (Saunders-Wan's small-modulus idea).  At
-    full rank M = gcd(|det|, those minors) is a multiple of
-    d_1 ... d_(n-1), usually a small one (M = |a| for a 1x1 matrix a); the
-    elimination yields d_1 ... d_(n-1) exactly, d_n = |det| / (d_1 ...
-    d_(n-1)), and the determinant gives the sign.  Below full rank M =
-    |lead|, which d_1 ... d_r divides, so the first r factors over Z/M are
-    d_1 ... d_r and the rest, which must read M, are 0; ``det_sign`` is 0.
+    over, and a copy of its active block B_t at the deepest stage t it
+    visits up to min(r, n-2); since Delta_t != 0 for t <= r it swaps no row
+    before stage r.  One elimination over Z/M gives gcd(d_i, M) for each i
+    (Saunders-Wan's small-modulus idea).  At full rank M = gcd(|det|,
+    those minors) is a multiple of d_1 ... d_(n-1), usually a small one
+    (M = |a| for a 1x1 matrix a); the elimination yields d_1 ... d_(n-1)
+    exactly, d_n = |det| / (d_1 ... d_(n-1)), and the determinant gives the
+    sign.  Below full rank M = |lead|, which d_1 ... d_k divides (k the
+    rank), so the first k factors over Z/M are d_1 ... d_k and the rest,
+    which must read M, are 0; ``det_sign`` is 0.
+
+    The elimination over Z/M starts from the Schur complement.  With W11 the
+    leading t x t block of the ordered matrix, det W11 = Delta_t, and
+    gcd(Delta_t, M) = 1, W11 is invertible over Z/M, and block LU gives
+
+        W = [I 0; W21 W11^-1 I] [W11 0; 0 S] [I W11^-1 W12; 0 I]
+
+    with S = W22 - W21 W11^-1 W12, so over Z/M W is equivalent to
+    diag(W11, S) and so to diag(I_t, S).  By Sylvester's identity B_t =
+    Delta_t S, and Delta_t is a unit mod M, so B_t has the Smith form of S
+    over Z/M: the factors are t ones followed by those of B_t mod M.  When
+    gcd(Delta_t, M) > 1 (an odd prime of M divides Delta_t), or no stage
+    was kept, t = 0 and the whole matrix is eliminated mod M by the same
+    lines.  At full rank M divides Delta_(n-1), one of the trailing minors,
+    so no stage past n-2 could be used: hence the cap.
+
     Entries stay below M throughout.  Every stage is one pivot inverse and
     one pass over the rows below: a block without a unit mod M first has
     its gcd with M divided out, and if that gcd is 1 the modulus is split
     into two coprime parts (``_eliminate``).  On the walk matrices of 222
-    pool graphs (n = 10..30 and 48) 4,268 stages find a unit at once and
-    454 after a division; 15 blocks are all zero and 14 need a split.
+    pool graphs (n = 10..30 with k < 10, n = 48 with k < 12) the Schur
+    start is taken for 201, with t = 2,018 in all.  It falls back for 18
+    of the 208 nonsingular ones, where 3 (once 5) divides both Delta_t and
+    M, and for 3 of the 14 singular ones.  The elimination mod M then
+    makes 2,301 stages that find a unit at once and 493 that find one after
+    a division, and meets 29 all-zero blocks and 13 splits; eliminating
+    each whole matrix took 4,322, 494, 30 and 14.
     """
     rows = _square_rows(m, "smith normal form")
     n = len(rows)
-    rank, lead, minors = _bareiss(rows)
+    r, order_sign = _odd_leading_order(rows)
+    rank, lead, minors, schur = _bareiss(rows, min(r, n - 2))
     if rank == 0:
         # the empty matrix has det 1; a zero matrix has every d_i = 0
         return SnfResult((0,) * n, 1 if n == 0 else 0)
     modulus = gcd(lead, *minors) if rank == n else abs(lead)
-    factors = _eliminate([[v % modulus for v in row] for row in m], modulus)
+    t, delta, block = schur or (0, 1, m)
+    del rows, schur  # stale once Bareiss is done: keep them out of the elimination's peak
+    if gcd(delta, modulus) > 1:
+        t, block = 0, m
+    factors = (1,) * t + _eliminate([[v % modulus for v in row] for row in block], modulus)
     if rank < n:
         if any(d != modulus for d in factors[rank:]):
             raise InvariantViolation("modular invariant factors disagree with the Bareiss rank")
@@ -442,7 +535,7 @@ def smith_normal_form(m) -> SnfResult:
     dn, rem = divmod(abs(lead), prod(factors[:-1]))
     if rem or factors[-1] != gcd(dn, modulus) or (n > 1 and dn % factors[-2]):
         raise InvariantViolation("modular invariant factors disagree with the Bareiss determinant")
-    return SnfResult(factors[:-1] + (dn,), 1 if lead > 0 else -1)
+    return SnfResult(factors[:-1] + (dn,), 1 if order_sign * lead > 0 else -1)
 
 
 def rational_solve(m, b) -> list[list[Fraction]]:

@@ -171,7 +171,8 @@ def reduced_walk_matrix(g: Graph, p: int) -> list[tuple[int, ...]]:
 
 
 # One-step Bareiss elimination: the oracle for the library's two-step kernel
-# (zlinalg._bareiss), which must return the same triple on every input
+# (zlinalg._bareiss), which must return the same (rank, lead, trailing
+# minors) on every input
 
 
 def bareiss_one_step(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:

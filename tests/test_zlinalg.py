@@ -18,6 +18,7 @@ from dgscert.zlinalg import (
     _bareiss,
     _brent_rho,
     _eliminate,
+    _odd_leading_order,
     _small_primes,
     FactorizationResult,
     char_poly_int,
@@ -28,7 +29,7 @@ from dgscert.zlinalg import (
     smith_normal_form,
     walk_matrix,
 )
-from conftest import bareiss_one_step, eliminate_over_z, identity, seeded_corpus
+from conftest import _rref, bareiss_one_step, eliminate_over_z, identity, seeded_corpus
 
 B_FIXTURE = 3 * 23 * 29 * 1225550789 * 6442787651
 
@@ -83,12 +84,13 @@ def _leading_minor(rows: list[list[int]], k: int) -> int:
 
 class TestBareissTwoStep:
     """The two-step kernel against the one-step elimination in conftest:
-    the same (rank, lead, trailing minors) on every input."""
+    the same (rank, lead, trailing minors) on every input, and no Schur
+    block kept at depth 0."""
 
     @staticmethod
     def _assert_agrees(rows: list[list[int]]) -> tuple[int, int, tuple[int, ...]]:
         expected = bareiss_one_step([list(row) for row in rows])
-        assert _bareiss([list(row) for row in rows]) == expected, rows
+        assert _bareiss([list(row) for row in rows]) == (*expected, None), rows
         return expected
 
     def test_seeded_small_matrices(self):
@@ -142,7 +144,7 @@ class TestBareissTwoStep:
         for rows in cases:
             assert _leading_minor(rows, 2) == 0, rows
             self._assert_agrees(rows)
-        assert _bareiss(cases[0]) == (4, -1, (1, 0, 1, 1))
+        assert _bareiss(cases[0]) == (4, -1, (1, 0, 1, 1), None)
         assert self._assert_agrees(cases[3])[0] == 4
 
     def test_zero_leading_4x4_minor_takes_the_one_step_stage_at_t2(self):
@@ -273,7 +275,10 @@ class TestSmithNormalFormDifferential:
 
     @staticmethod
     def _modulus_and_r(m) -> tuple[int, int]:
-        _, det, minors = _bareiss([list(row) for row in m])
+        # the modulus smith_normal_form takes: minors of the rows in odd order
+        rows = [list(row) for row in m]
+        _odd_leading_order(rows)
+        _, det, minors, _ = _bareiss(rows)
         return gcd(det, *minors), prod(eliminate_over_z([list(row) for row in m])[0][:-1])
 
     def test_sympy_oracle_singular_and_tiny_orders(self):
@@ -332,9 +337,9 @@ class TestSmithNormalFormDifferential:
 
         bareiss = mod._bareiss
 
-        def understated(rows):
-            rank, lead, minors = bareiss(rows)
-            return rank - 1, lead, minors
+        def understated(rows, depth=0):
+            rank, lead, minors, schur = bareiss(rows, depth)
+            return rank - 1, lead, minors, schur
 
         # rank 2, lead 4: over Z/4 the factors read (2, 2, 4), so a claimed
         # rank of 1 leaves a factor 2 where M = 4 must stand
@@ -468,21 +473,21 @@ class TestSmithNormalFormDifferential:
 
         bareiss = mod._bareiss
 
-        def doubled(rows):
-            rank, det, minors = bareiss(rows)
-            return rank, 2 * det, minors
+        def doubled(rows, depth=0):
+            rank, det, minors, schur = bareiss(rows, depth)
+            return rank, 2 * det, minors, schur
 
         monkeypatch.setattr(mod, "_bareiss", doubled)
         with pytest.raises(InvariantViolation):
             smith_normal_form(walk_matrix(mate9_graph()))
 
     def test_bareiss_trailing_minors(self):
-        rank, det, minors = _bareiss([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+        rank, det, minors, _ = _bareiss([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
         # minors on rows {0, i} and columns {0, j}, i, j in {1, 2}
         assert rank == 3 and det == 18 and minors == (5, 2, 2, 8)
-        assert _bareiss([[3, 4], [5, 6]]) == (2, -2, (3, 4, 5, 6))
-        assert _bareiss([[7]]) == (1, 7, ())
-        assert _bareiss([]) == (0, 1, ())
+        assert _bareiss([[3, 4], [5, 6]]) == (2, -2, (3, 4, 5, 6), None)
+        assert _bareiss([[7]]) == (1, 7, (), None)
+        assert _bareiss([]) == (0, 1, (), None)
 
     def test_bareiss_rank_with_column_swaps(self):
         # each pivot column runs out of nonzero entries below the diagonal
@@ -493,7 +498,7 @@ class TestSmithNormalFormDifferential:
             [[0, 1, 2], [0, 3, 4], [0, 5, 7]],
         ]
         for rows in cases:
-            rank, lead, _ = _bareiss([row[:] for row in rows])
+            rank, lead = _bareiss([row[:] for row in rows])[:2]
             assert rank == sympy.Matrix(rows).rank(), rows
             # lead is, up to sign, a nonzero rank x rank minor
             assert lead != 0 and abs(lead) in {
@@ -502,6 +507,254 @@ class TestSmithNormalFormDifferential:
                 for c in combinations(range(len(rows)), rank)
             }, rows
         assert _bareiss([[0, 1], [0, 0]])[:2] == (1, -1)
+
+
+class TestSchurStart:
+    """smith_normal_form orders the rows so that Delta_1 ... Delta_r are odd
+    (r = rank_2 W for a walk matrix), keeps the Bareiss active block B_t at
+    the deepest stage t <= min(r, n-2), and, when gcd(Delta_t, M) = 1,
+    eliminates only B_t over Z/M after t unit factors; otherwise the whole
+    matrix (t = 0)."""
+
+    POOL = 20211018
+
+    @staticmethod
+    def _rank_mod_2(rows) -> int:
+        return len(_rref([[v % 2 for v in row] for row in rows], 2)[1])
+
+    @staticmethod
+    def _eliminated_sizes(monkeypatch) -> list[int]:
+        # orders of the matrices _eliminate is called on, outermost first
+        eliminate = zlinalg._eliminate
+        sizes: list[int] = []
+
+        def recording(a, modulus):
+            sizes.append(len(a))
+            return eliminate(a, modulus)
+
+        monkeypatch.setattr(zlinalg, "_eliminate", recording)
+        return sizes
+
+    @staticmethod
+    def _schur_start(m) -> tuple[int, int, int]:
+        """(r, t, gcd(Delta_t, M)) as smith_normal_form sees them; t = 0
+        when no stage was kept."""
+        rows = [list(row) for row in m]
+        n = len(rows)
+        r, _ = _odd_leading_order(rows)
+        rank, lead, minors, schur = _bareiss(rows, min(r, n - 2))
+        modulus = gcd(lead, *minors) if rank == n else abs(lead)
+        t, delta, _ = schur or (0, 1, None)
+        return r, t, gcd(delta, modulus)
+
+    def _assert_matches_reference(self, m, sizes: list[int]) -> int:
+        """Compare with the elimination over Z (and sympy below order 7);
+        return the order of the block eliminated mod M."""
+        from sympy.matrices.normalforms import invariant_factors
+
+        sizes.clear()
+        snf = smith_normal_form(m)
+        factors, sign = eliminate_over_z([list(row) for row in m])
+        det = determinant(m)
+        assert snf.factors == factors, m
+        assert snf.det_sign * snf.abs_det() == det, m
+        assert snf.det_sign == (sign if det else 0), m
+        if len(m) < 7:
+            assert snf.factors == tuple(int(d) for d in invariant_factors(sympy.Matrix(m))), m
+        r, t, shared = self._schur_start(m)
+        size = sizes[0] if sizes else 0
+        # the block is the Schur complement of the kept stage, or everything
+        assert size == (len(m) - t if t and shared == 1 else len(m)), (m, r, t, size)
+        return size
+
+    def test_odd_leading_order(self):
+        cases = []
+        for k in range(240):
+            n, kind = k % 9, k // 9 % 3
+            gen = Xorshift64Star(derive_seed(191, k))
+            pick = ((0, 0, 0, 1, -1, 2), tuple(range(-9, 10)), (0, 2, -2, 4, 1))[kind]
+            cases.append([[pick[gen.next_u64() % len(pick)] for _ in range(n)] for _ in range(n)])
+        walks = [walk_matrix(random_graph(n, derive_seed(self.POOL, n, k))) for n in (10, 20, 30) for k in range(4)]
+        signs = set()
+        for m in cases + walks:
+            n = len(m)
+            rows = [list(row) for row in m]
+            r, sign = _odd_leading_order(rows)
+            signs.add(sign)
+            assert sorted(rows) == sorted(list(row) for row in m), m
+            assert determinant(rows) == sign * determinant(m), m
+            assert all(determinant([row[:t] for row in rows[:t]]) % 2 for t in range(1, r + 1)), m
+            # no order makes Delta_(r+1) odd: column r depends on the columns before it mod 2
+            assert r == n or self._rank_mod_2([row[: r + 1] for row in rows]) == r, m
+        for w in walks:
+            assert _odd_leading_order([list(row) for row in w])[0] == self._rank_mod_2(w)
+        assert signs == {1, -1}
+
+    def test_bareiss_keeps_the_active_block_of_the_deepest_stage(self):
+        # block = Delta_t * S: each entry is the minor on rows 0..t-1, t+i
+        # and columns 0..t-1, t+j; t is the deepest stage up to depth that a
+        # two-step pass does not step over.  The copy follows the swaps of
+        # stage t itself, which only a stage t = r with Delta_(t+1) = 0
+        # makes; they permute the rows and columns of the block
+        def minor(rows, t, i=None, j=None):
+            keep_r = list(range(t)) + ([i] if i is not None else [])
+            keep_c = list(range(t)) + ([j] if j is not None else [])
+            return determinant([[rows[a][b] for b in keep_c] for a in keep_r])
+
+        kept = skipped = swapped = 0
+        for k in range(60):
+            n = 3 + k % 6
+            rows = _random_int_matrix(n, derive_seed(193, k), -4, 4)
+            r, _ = _odd_leading_order(rows)
+            for depth in range(0, r + 1):
+                rank, lead, minors, schur = _bareiss([row[:] for row in rows], depth)
+                assert (rank, lead, minors) == bareiss_one_step([row[:] for row in rows])
+                stages, s = [], 0
+                while s <= depth and s < n:
+                    stages.append(s)
+                    s += 2 if s + 3 < n and minor(rows, s + 2) else 1
+                visited = [s for s in stages if 0 < s <= depth]
+                if not visited:
+                    assert schur is None, (rows, depth)
+                    continue
+                t, prev, block = schur
+                assert t == visited[-1], (rows, depth)
+                assert prev == minor(rows, t)
+                expected = [[minor(rows, t, i, j) for j in range(t, n)] for i in range(t, n)]
+                if t < r or minor(rows, t + 1):
+                    assert block == expected, (rows, depth)
+                else:
+                    assert sorted(sum(block, [])) == sorted(sum(expected, [])), (rows, depth)
+                    swapped += block != expected
+                kept += 1
+                skipped += t < depth
+        assert kept >= 100 and skipped >= 10 and swapped >= 1
+
+    def test_all_even_matrix_eliminates_everything(self, monkeypatch):
+        sizes = self._eliminated_sizes(monkeypatch)
+        for k in range(12):
+            n = 1 + k % 6
+            m = [[2 * v for v in row] for row in _random_int_matrix(n, derive_seed(197, k), -3, 3)]
+            assert self._schur_start(m)[:2] == (0, 0)
+            assert self._assert_matches_reference(m, sizes) == n
+
+    def test_odd_determinant(self, monkeypatch):
+        # r = n, capped at n - 2: Delta_(n-1) is one of the minors M divides
+        sizes = self._eliminated_sizes(monkeypatch)
+        seen = set()
+        for k in range(200):
+            n = 1 + k % 7
+            m = _random_int_matrix(n, derive_seed(199, k), -5, 5)
+            if determinant(m) % 2 == 0:
+                continue
+            r, t, _ = self._schur_start(m)
+            assert r == n and t <= max(n - 2, 0)
+            seen.add((n, self._assert_matches_reference(m, sizes)))
+        assert {(1, 1), (2, 2)} <= seen and {(n, 2) for n in range(3, 8)} <= seen
+        assert any(n == size > 2 for n, size in seen)
+
+    def test_odd_prime_of_the_modulus_dividing_delta_falls_back(self, monkeypatch):
+        # n = 20 pool graphs where 3 divides both Delta_t and M
+        sizes = self._eliminated_sizes(monkeypatch)
+        for k in (2, 24, 29, 58, 59):
+            w = walk_matrix(random_graph(20, derive_seed(self.POOL, 20, k)))
+            r, t, shared = self._schur_start(w)
+            assert t >= 8 and shared % 3 == 0, k
+            assert self._assert_matches_reference(w, sizes) == 20
+
+    def test_odd_row_permutation(self, monkeypatch):
+        sizes = self._eliminated_sizes(monkeypatch)
+        odd = 0
+        cases = [walk_matrix(random_graph(20, derive_seed(self.POOL, 20, k))) for k in range(12)]
+        cases += [_random_int_matrix(3 + k % 5, derive_seed(211, k), -6, 6) for k in range(24)]
+        for m in cases:
+            odd += _odd_leading_order([list(row) for row in m])[1] == -1
+            self._assert_matches_reference(m, sizes)
+        assert odd >= 10
+
+    def test_rank_deficient(self, monkeypatch):
+        # products A B through an inner dimension below n, and the walk
+        # matrices of the golden corpus's NOT_CONTROLLABLE graphs
+        sizes = self._eliminated_sizes(monkeypatch)
+        cases = []
+        for k in range(40):
+            n = 3 + k % 6
+            gen = Xorshift64Star(derive_seed(223, k))
+            inner = 1 + gen.next_u64() % (n - 1)
+            a = [[gen.next_u64() % 7 - 3 for _ in range(inner)] for _ in range(n)]
+            b = [[gen.next_u64() % 7 - 3 for _ in range(n)] for _ in range(inner)]
+            cases.append([[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(n)] for i in range(n)])
+        cases += [walk_matrix(random_graph(10, derive_seed(self.POOL, 10, k))) for k in (0, 3)]
+        # where r reaches the rank k, the deepest stage t = k has Delta_k = M
+        # or an all-zero block, so most of these fall back to t = 0
+        schur = 0
+        for m in cases:
+            assert determinant(m) == 0
+            schur += self._assert_matches_reference(m, sizes) < len(m)
+        assert schur >= 4
+
+    def test_walk_matrices_at_56_and_64(self, monkeypatch):
+        sizes = self._eliminated_sizes(monkeypatch)
+        for n in (56, 64):
+            w = walk_matrix(random_graph(n, derive_seed(self.POOL, n, 0)))
+            assert self._assert_matches_reference(w, sizes) <= n - n // 2 + 2
+
+    def test_schur_start_is_taken_on_most_n48_pool_walk_matrices(self, monkeypatch):
+        # no timing: the order of the block eliminated mod M.  Of the 12
+        # snf_large pool graphs, 9 start at t = 22 or 24, and 3 (where 3 or
+        # 5 divides both Delta_24 and M) fall back to the whole matrix
+        sizes = self._eliminated_sizes(monkeypatch)
+        blocks = []
+        for k in range(12):
+            w = walk_matrix(random_graph(48, derive_seed(self.POOL, 48, k)))
+            sizes.clear()
+            smith_normal_form(w)
+            blocks.append(sizes[0])
+        assert sum(size <= 26 for size in blocks) >= 9, blocks
+        assert all(size <= 26 or size == 48 for size in blocks), blocks
+
+    # mutations of the Schur start: each must raise or disagree with the
+    # reference
+
+    @staticmethod
+    def _caught(m) -> bool:
+        try:
+            snf = smith_normal_form(m)
+        except InvariantViolation:
+            return True
+        det = determinant(m)
+        return snf.factors != eliminate_over_z([list(row) for row in m])[0] or snf.det_sign * snf.abs_det() != det
+
+    def _mutate_schur(self, monkeypatch, mutate) -> None:
+        bareiss = zlinalg._bareiss
+
+        def mutated(rows, depth=0):
+            rank, lead, minors, schur = bareiss(rows, depth)
+            return rank, lead, minors, schur and mutate(*schur)
+
+        monkeypatch.setattr(zlinalg, "_bareiss", mutated)
+
+    def test_schur_block_scaled_by_a_non_unit_is_caught(self, monkeypatch):
+        # B_t times a unit mod M has the Smith form of S over Z/M, which is
+        # why no inverse of Delta_t is applied; a wrong "inverse" that is
+        # not a unit (2 divides M for every walk matrix here) must show
+        graphs = [k for k in range(12) if k != 2]  # k = 2 falls back to t = 0
+        ws = [walk_matrix(random_graph(20, derive_seed(self.POOL, 20, k))) for k in graphs]
+        self._mutate_schur(monkeypatch, lambda t, delta, block: (t, delta, [[2 * v for v in row] for row in block]))
+        assert all(self._caught(w) for w in ws)
+
+    def test_block_taken_where_delta_shares_a_prime_with_the_modulus_is_caught(self, monkeypatch):
+        # reporting Delta_t = 1 skips the gcd(Delta_t, M) = 1 test
+        ws = [walk_matrix(random_graph(20, derive_seed(self.POOL, 20, k))) for k in (2, 24, 29, 58, 59)]
+        self._mutate_schur(monkeypatch, lambda t, delta, block: (t, 1, block))
+        assert all(self._caught(w) for w in ws)
+
+    def test_dropped_order_sign_is_caught(self, monkeypatch):
+        ws = [walk_matrix(random_graph(20, derive_seed(self.POOL, 20, k))) for k in range(12)]
+        odd = [w for w in ws if _odd_leading_order([list(row) for row in w])[1] == -1]
+        order = zlinalg._odd_leading_order
+        monkeypatch.setattr(zlinalg, "_odd_leading_order", lambda rows: (order(rows)[0], 1))
+        assert len(odd) >= 5 and all(self._caught(w) for w in odd)
 
 
 class TestWalkMatrixTheorems:
@@ -892,11 +1145,12 @@ def test_doctests():
     import dgscert.zlinalg
 
     results = doctest.testmod(dgscert.zlinalg)
-    # _bareiss carries two examples (one takes the one-step stage),
-    # _charpoly_hessenberg three (its polys list, then H left in its
-    # argument), char_poly_int, _coprime_split and _eliminate one each,
-    # _brent_rho three
-    assert results.failed == 0 and results.attempted >= 9
+    # _bareiss carries two examples (one keeps a Schur block, one takes the
+    # one-step stage), _odd_leading_order three (the call, then the rows it
+    # reordered), _charpoly_hessenberg three (its polys list, then H left
+    # in its argument), char_poly_int, _coprime_split and _eliminate one
+    # each, _brent_rho three
+    assert results.failed == 0 and results.attempted >= 14
     results = doctest.testmod(dgscert.fpalg)
     # format_poly carries one
     assert results.failed == 0 and results.attempted >= 1
