@@ -42,14 +42,12 @@ from .graphcore import (
     parse_graph6,
     random_graph,
 )
+from .ntheory import FactorizationResult, factor_integer, is_prime
 from .specinv import PhiReport, phi_report
 from .zlinalg import (
-    FactorizationResult,
     SnfResult,
     char_poly_int,
     determinant,
-    factor_integer,
-    is_prime,
     rational_solve,
     smith_normal_form,
     walk_matrix,

@@ -19,17 +19,9 @@ from importlib import resources
 from . import specinv
 from .errors import InvariantViolation
 from .graphcore import Graph
+from .ntheory import FactorizationResult, _check_effort, _odd_part, _two_adic_valuation, factor_integer
 from .specinv import PhiReport
-from .zlinalg import (
-    FactorizationResult,
-    SnfResult,
-    _check_effort,
-    _odd_part,
-    _two_adic_valuation,
-    factor_integer,
-    smith_normal_form,
-    walk_matrix,
-)
+from .zlinalg import SnfResult, smith_normal_form, walk_matrix
 
 STATUS_DGS_BY_MAIN = "DGS_BY_MAIN"
 STATUS_NOT_CONTROLLABLE = "NOT_CONTROLLABLE"
@@ -168,8 +160,9 @@ def _prime_report(g: Graph, snf: SnfResult, p: int) -> PhiReport:
 def check_sqf_condition(g: Graph, effort: str = "default") -> tuple[str, dict]:
     """The half-determinant rule: PASS iff det W = +-2^floor(n/2) * b with b
     odd, squarefree and fully factored; UNKNOWN when b's factorization stays
-    partial; FAIL otherwise.  b is factored only when the 2-adic valuation
-    of det W and the odd part of d_{n-1} leave the answer open.
+    partial; FAIL otherwise.  d_n is factored only when the 2-adic
+    valuation of det W and the odd part of d_{n-1} leave the answer open,
+    and there b is the odd part of d_n.
 
     On PASS the invariant-factor chain must take the rigid shape
     [1, ..., 1, 2, ..., 2, 2b]; a mismatch is an internal error.
@@ -179,11 +172,11 @@ def check_sqf_condition(g: Graph, effort: str = "default") -> tuple[str, dict]:
     det = snf.det_sign * snf.abs_det()
     if det == 0:
         raise ValueError("the half-determinant rule needs a controllable graph")
-    return _sqf_condition_from_snf(g.n, det, snf, lambda: factor_integer(_odd_part(snf.dn), effort))
+    return _sqf_condition_from_snf(g.n, det, snf, lambda: factor_integer(snf.dn, effort))
 
 
 def _sqf_condition_from_snf(
-    n: int, det: int, snf: SnfResult, odd_dn_factorization: Callable[[], FactorizationResult]
+    n: int, det: int, snf: SnfResult, dn_factorization: Callable[[], FactorizationResult]
 ) -> tuple[str, dict]:
     v2 = _two_adic_valuation(det)
     evidence: dict = {"v2_det": v2, "v2_required": n // 2}
@@ -193,11 +186,13 @@ def _sqf_condition_from_snf(
         return SQF_FAIL, evidence
     # the odd part of det W is prod of the odd parts of the invariant
     # factors, and every d_i divides d_n: squarefree forces the first n-1
-    # odd parts to be 1 and the last to be squarefree
+    # odd parts to be 1 and the last to be squarefree.  At least floor(n/2)
+    # of the d_i are even, so v2(det W) = floor(n/2) leaves v2(d_n) <= 1,
+    # and d_n is squarefree exactly when its odd part is
     if n >= 2 and _odd_part(snf.factors[-2]) != 1:
         evidence["repeated_odd_prime_before_dn"] = True
         return SQF_FAIL, evidence
-    sf = odd_dn_factorization().squarefree()
+    sf = dn_factorization().squarefree()
     if sf is None:
         return SQF_UNKNOWN, evidence
     if not sf:
@@ -239,20 +234,16 @@ def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
         raise InvariantViolation("more than floor(n/2) invariant factors are 2 mod 4")
 
     v2_dn = _two_adic_valuation(dn)
-    odd_dn = _odd_part(dn)
     if v2_dn >= 2:
         # 4 | d_n settles everything without touching the odd part: d_n is
         # not squarefree, and the half-determinant rule reads FAIL from
         # v2(det W) > floor(n/2) before it asks for the factorization.
         # Skipping the factorization here makes the large-order experiment
         # runs several times faster.
-        odd_fact = FactorizationResult((), odd_dn)
+        dn_fact = FactorizationResult(((2, v2_dn),), dn >> v2_dn)
     else:
-        odd_fact = factor_integer(odd_dn, effort)
-    sqf_status, _ = _sqf_condition_from_snf(n, det, snf, lambda: odd_fact)
-
-    dn_powers = (((2, v2_dn),) if v2_dn else ()) + odd_fact.prime_powers
-    dn_fact = FactorizationResult(tuple(sorted(dn_powers)), odd_fact.cofactor)
+        dn_fact = factor_integer(dn, effort)
+    sqf_status, _ = _sqf_condition_from_snf(n, det, snf, lambda: dn_fact)
 
     def finish(status: str, rule: str | None, reports, failing) -> DgsVerdict:
         if status != STATUS_DGS_BY_MAIN and sqf_status == SQF_PASS:
@@ -273,7 +264,9 @@ def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
         notes.append("d_n = 2 (mod 4): any conjugating rational orthogonal matrix has odd level")
 
     reports: list[PhiReport] = []
-    for p in odd_fact.primes():
+    for p in dn_fact.primes():
+        if p == 2:
+            continue
         rep = _prime_report(g, snf, p)
         if rep.nullity == 1 and not rep.eq_degrees_match:
             raise InvariantViolation(f"nullity 1 must force a degree-1 squarefree part at p={p}")

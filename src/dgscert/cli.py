@@ -25,7 +25,8 @@ from .certify import _prime_report, certify_dgs
 from .errors import InvariantViolation, _on_graph
 from .experiments import run_conjecture_scan, run_experiment
 from .graphcore import Graph, Graph6Error, parse_adjacency, parse_graph6
-from .zlinalg import _RHO_BUDGET, smith_normal_form, walk_matrix
+from .ntheory import _RHO_BUDGET
+from .zlinalg import smith_normal_form, walk_matrix
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1

@@ -20,14 +20,8 @@ from math import gcd, lcm
 from .certify import _prime_report
 from .errors import InvariantViolation
 from .graphcore import Graph, _pair_order, emit_graph6, parse_graph6
-from .zlinalg import (
-    _odd_part,
-    char_poly_int,
-    factor_integer,
-    rational_solve,
-    smith_normal_form,
-    walk_matrix,
-)
+from .ntheory import factor_integer
+from .zlinalg import char_poly_int, rational_solve, smith_normal_form, walk_matrix
 
 ENUMERATION_MAX_N = 7
 
@@ -313,10 +307,12 @@ def level_parity_audit(pairs) -> list[LevelAuditEntry]:
         if dn % 4 == 2 and q.level % 2 == 0:
             raise InvariantViolation("even level despite d_n = 2 (mod 4)")
         checks = []
-        level_fact = factor_integer(_odd_part(q.level))
+        level_fact = factor_integer(q.level)
         if not level_fact.is_complete:
             raise InvariantViolation("conjugator level resists factorization; audit cannot be completed")
         for p in level_fact.primes():
+            if p == 2:
+                continue
             exactly_divides = dn % p == 0 and (dn // p) % p != 0
             eq4 = _prime_report(g_first, snf, p).eq_degrees_match
             if exactly_divides and eq4:

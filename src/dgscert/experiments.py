@@ -22,7 +22,8 @@ from .certify import (
 )
 from .errors import InvariantViolation, _on_graph
 from .graphcore import MAX_VERTICES, derive_seed, emit_graph6, random_graph
-from .zlinalg import _check_effort, _odd_part, factor_integer, smith_normal_form, walk_matrix
+from .ntheory import _check_effort, factor_integer
+from .zlinalg import smith_normal_form, walk_matrix
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,9 @@ def _scan_sample(args: tuple[int, int, str]) -> tuple[int, int, int, list[ScanFi
             return 1, 0, 0, []
         checks = matches = 0
         findings = []
-        for p in factor_integer(_odd_part(snf.dn), effort).primes():
+        for p in factor_integer(snf.dn, effort).primes():
+            if p == 2:
+                continue
             rep = _prime_report(g, snf, p)  # proven relations are checked inside
             deg_sqrt = rep.sqrt_phi.degree
             divides = rep.sqrt_phi.divides(rep.restricted_charpoly)

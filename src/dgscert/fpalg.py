@@ -18,7 +18,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .zlinalg import _charpoly_hessenberg, _square_rows, is_prime
+from .ntheory import is_prime
+from .zlinalg import _charpoly_hessenberg, _square_rows
 
 
 # a corpus run checks a few primes per graph; the cache need only hold the

@@ -34,13 +34,9 @@ from dgscert.fixtures import (
 )
 from dgscert.fpalg import char_poly_mod_p, format_poly
 from dgscert.graphcore import derive_seed, random_graph
+from dgscert.ntheory import factor_integer
 from dgscert.specinv import phi_report
-from dgscert.zlinalg import (
-    determinant,
-    factor_integer,
-    smith_normal_form,
-    walk_matrix,
-)
+from dgscert.zlinalg import determinant, smith_normal_form, walk_matrix
 from conftest import reduced_walk_matrix
 
 B16 = 3 * 23 * 29 * 1225550789 * 6442787651

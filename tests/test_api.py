@@ -15,6 +15,10 @@ def test_exported_names_are_unique():
     assert len(dgscert.__all__) == len(set(dgscert.__all__))
 
 
+def test_number_theory_has_one_home():
+    assert dgscert.factor_integer is dgscert.ntheory.factor_integer
+
+
 def test_import_does_not_load_numpy():
     # the package never loads numpy, the n <= 7 enumeration oracle included;
     # the experiments and their process pool load only with the CLI commands

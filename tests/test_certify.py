@@ -16,8 +16,10 @@ from dgscert.certify import (
 )
 from dgscert.fixtures import dgs16_graph, mate9_graph
 from dgscert.graphcore import derive_seed, random_graph
+from dgscert.ntheory import factor_integer
 from dgscert.zlinalg import determinant, walk_matrix
 from conftest import seeded_corpus
+from test_golden import _corpus as golden_corpus
 
 B_FIXTURE = 3 * 23 * 29 * 1225550789 * 6442787651
 
@@ -84,6 +86,25 @@ class TestSqfCondition:
         assert status == SQF_UNKNOWN
         # the rho stage settles it either way
         assert check_sqf_condition(g, effort="default")[0] in (SQF_PASS, SQF_FAIL)
+
+
+class TestDnFactorization:
+    """The verdict's factorization is factor_integer(d_n) itself, 2 included,
+    except in the 4 | d_n shortcut, which leaves the odd part unfactored."""
+
+    @pytest.mark.parametrize(
+        "corpus, effort",
+        [(golden_corpus, "default"), (lambda: seeded_corpus(60, 12, 20, seed=0xD17), "low")],
+        ids=["golden", "seeded-low"],
+    )
+    def test_verdict_holds_the_factorization_of_dn(self, corpus, effort):
+        checked = 0
+        for g in corpus():
+            v = certify_dgs(g, effort)
+            if v.dn and v.dn % 4:
+                assert v.dn_factorization == factor_integer(v.dn, effort), g.n
+                checked += 1
+        assert checked >= 10
 
 
 class TestCertifyFixtures:
