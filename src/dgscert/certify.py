@@ -255,9 +255,14 @@ def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
         notes.append(f"unfactored cofactor {dn_fact.cofactor} blocks the squarefreeness decision")
         return finish(STATUS_FACTORIZATION_INCOMPLETE, None, (), None)
     if dn_fact.squarefree() is False:
-        repeated = next(p for p, e in dn_fact.prime_powers if e >= 2)
-        skipped = " (odd part left unfactored)" if v2_dn >= 2 else ""
-        notes.append(f"d_n is not squarefree: {repeated}^2 divides it{skipped}")
+        repeated = next((p for p, e in dn_fact.prime_powers if e >= 2), None)
+        if repeated is None:
+            # only a composite that rho could not split divides d_n twice
+            c, k = next((c, k) for c, k in dn_fact.unfactored if k >= 2)
+            notes.append(f"d_n is not squarefree: the unfactored composite {c} divides it to the power {k}")
+        else:
+            skipped = " (odd part left unfactored)" if v2_dn >= 2 else ""
+            notes.append(f"d_n is not squarefree: {repeated}^2 divides it{skipped}")
         return finish(STATUS_CONDITION_FAILS, None, (), repeated)
 
     if dn % 4 == 2:

@@ -12,8 +12,10 @@ factor.  Every composite left then has no prime below the trial bound: a
 perfect power root**k is carried as root with multiplicity k, and any
 other composite gets Brent-Pollard rho, capped per composite by the effort
 level's budget of compared pairs (none at "low").  A composite that rho
-cannot split stays in the cofactor.  ``is_prime`` is deterministic
-Miller-Rabin below about 3.3e24 and a Baillie-PSW test above.
+cannot split stays in the cofactor, and the result keeps its multiplicity,
+so a known square reads "not square-free" even when its root stays
+composite.  ``is_prime`` is deterministic Miller-Rabin below about 3.3e24
+and a Baillie-PSW test above.
 """
 
 from __future__ import annotations
@@ -28,10 +30,16 @@ from math import gcd, isqrt, prod
 class FactorizationResult:
     """Prime-power decomposition of an integer n, complete iff the
     unfactored cofactor is 1; a partial result still satisfies
-    n == cofactor * prod(p**e)."""
+    n == cofactor * prod(p**e).
+
+    ``unfactored`` holds the composites rho could not split, each with its
+    multiplicity in n, so that their powers multiply to the cofactor; a
+    cofactor that was never examined has none listed.
+    """
 
     prime_powers: tuple[tuple[int, int], ...]
     cofactor: int
+    unfactored: tuple[tuple[int, int], ...] = ()
 
     @property
     def is_complete(self) -> bool:
@@ -49,10 +57,11 @@ class FactorizationResult:
     def squarefree(self) -> bool | None:
         """True/False when decidable, None when the factorization is partial.
 
-        A repeated extracted prime settles the question even for a partial
-        factorization; otherwise partial means unknown.
+        A prime or an unfactored composite that divides n at least twice
+        settles the question even for a partial factorization; otherwise
+        partial means unknown.
         """
-        if any(e >= 2 for _, e in self.prime_powers):
+        if any(e >= 2 for _, e in self.prime_powers + self.unfactored):
             return False
         return True if self.is_complete else None
 
@@ -278,7 +287,8 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
     Brent-Pollard rho with a cap of 2**20 compared pairs per distinct
     composite; "high" raises the cap to 2**24.  A composite is factored once
     however often it divides n: a cofactor root**k costs one run on root,
-    whose parts are carried with multiplicity k.  Rho runs whole Brent
+    whose parts are carried with multiplicity k, and a part that rho cannot
+    split is listed in ``unfactored`` with its multiplicity.  Rho runs whole Brent
     rounds only (no advance without its comparisons): unless c = 1
     collides, it compares at most 2**20 - 1 (default) or 2**24 - 1 (high)
     pairs and stops.  The rho parameter ladder is fixed (x0 = 2,
@@ -303,7 +313,7 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
             while n % p == 0:
                 powers[p] = powers.get(p, 0) + 1
                 n //= p
-    cofactor = 1
+    unfactored: dict[int, int] = {}
     if n > 1:
         stack = [(n, 1)]  # (factor, multiplicity in n)
         while stack:
@@ -327,8 +337,9 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
                 if found is not None:
                     break
             if found is None:
-                cofactor *= c**m
+                unfactored[c] = unfactored.get(c, 0) + m
             else:
                 stack.append((found, m))
                 stack.append((c // found, m))
-    return FactorizationResult(tuple(sorted(powers.items())), cofactor)
+    cofactor = prod(c**m for c, m in unfactored.items())
+    return FactorizationResult(tuple(sorted(powers.items())), cofactor, tuple(sorted(unfactored.items())))

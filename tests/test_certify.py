@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dgscert import certify
+from dgscert import certify, ntheory
 from dgscert.certify import (
     SQF_FAIL,
     SQF_PASS,
@@ -16,8 +16,8 @@ from dgscert.certify import (
 )
 from dgscert.fixtures import dgs16_graph, mate9_graph
 from dgscert.graphcore import derive_seed, random_graph
-from dgscert.ntheory import factor_integer
-from dgscert.zlinalg import determinant, walk_matrix
+from dgscert.ntheory import FactorizationResult, factor_integer
+from dgscert.zlinalg import SnfResult, determinant, walk_matrix
 from conftest import seeded_corpus
 from test_golden import _corpus as golden_corpus
 
@@ -105,6 +105,39 @@ class TestDnFactorization:
                 assert v.dn_factorization == factor_integer(v.dn, effort), g.n
                 checked += 1
         assert checked >= 10
+
+
+class TestCompositeSquare:
+    """A composite that rho cannot split but that divides d_n twice refutes
+    square-freeness, with no prime to name as failing."""
+
+    R = 1225550789 * 6442787651
+
+    @staticmethod
+    def _certify_with_dn(monkeypatch, dn):
+        # no pool graph has a d_n whose part above the trial bound is a power
+        # of a composite, so the invariant factors are replaced by the chain
+        # the half-determinant rule asks of n = 16, ending in d_n; the
+        # verdict is decided before any per-prime report reads the graph
+        snf = SnfResult((1,) * 8 + (2,) * 7 + (dn,), 1)
+        monkeypatch.setattr(certify, "smith_normal_form", lambda w: snf)
+        return certify_dgs(dgs16_graph())
+
+    def test_capped_rho_reads_condition_fails(self, monkeypatch):
+        monkeypatch.setitem(ntheory._RHO_BUDGET, "default", 64)
+        v = self._certify_with_dn(monkeypatch, 2 * self.R**2)
+        assert v.status == STATUS_CONDITION_FAILS and v.sqf_check == SQF_FAIL
+        assert v.failing_prime is None and v.dn_squarefree() is False
+        assert v.dn_factorization == FactorizationResult(((2, 1),), self.R**2, ((self.R, 2),))
+        assert f"the unfactored composite {self.R} divides it to the power 2" in v.notes[0]
+        data = v.to_json_dict()
+        validate_verdict_dict(data)
+        assert (data["dn_factors"], data["dn_cofactor"], data["failing_prime"]) == ([["2", 1]], str(self.R**2), None)
+
+    def test_split_root_names_the_repeated_prime(self, monkeypatch):
+        v = self._certify_with_dn(monkeypatch, 2 * self.R**2)
+        assert v.status == STATUS_CONDITION_FAILS and v.failing_prime == 1225550789
+        assert v.dn_factorization.is_complete
 
 
 class TestCertifyFixtures:

@@ -76,9 +76,26 @@ class TestFactorInteger:
         r = 549755826239 * 1099511529101
         monkeypatch.setitem(_RHO_BUDGET, "default", 64)
         calls = self._count_rho(monkeypatch)
-        assert factor_integer(r**2) == FactorizationResult((), r**2)
+        assert factor_integer(r**2) == FactorizationResult((), r**2, ((r, 2),))
         assert calls == [r]
-        assert factor_integer(r**3) == FactorizationResult((), r**3)
+        assert factor_integer(r**3) == FactorizationResult((), r**3, ((r, 3),))
+        assert factor_integer(r**2).squarefree() is False
+
+    def test_unfactored_parts_keep_their_multiplicity(self, monkeypatch):
+        # a known square reads "not square-free" whether its root is a
+        # prime or a composite that rho cannot split; one unsplit composite
+        # alone leaves the question open
+        r = 549755826239 * 1099511529101
+        monkeypatch.setitem(_RHO_BUDGET, "default", 64)
+        cases = {
+            r: (FactorizationResult((), r, ((r, 1),)), None),
+            9 * r: (FactorizationResult(((3, 2),), r, ((r, 1),)), False),
+            10 * r**2: (FactorizationResult(((2, 1), (5, 1)), r**2, ((r, 2),)), False),
+        }
+        for n, (expected, squarefree) in cases.items():
+            fr = factor_integer(n)
+            assert fr == expected and fr.value() == n
+            assert fr.squarefree() is squarefree and not fr.is_complete
 
     def test_perfect_power_root_split_once(self, monkeypatch):
         r = 1225550789 * 6442787651
