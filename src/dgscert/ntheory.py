@@ -288,10 +288,10 @@ def factor_integer(n: int, effort: str = "default") -> FactorizationResult:
     composite; "high" raises the cap to 2**24.  A composite is factored once
     however often it divides n: a cofactor root**k costs one run on root,
     whose parts are carried with multiplicity k, and a part that rho cannot
-    split is listed in ``unfactored`` with its multiplicity.  Rho runs whole Brent
-    rounds only (no advance without its comparisons): unless c = 1
-    collides, it compares at most 2**20 - 1 (default) or 2**24 - 1 (high)
-    pairs and stops.  The rho parameter ladder is fixed (x0 = 2,
+    split is listed in ``unfactored`` with its multiplicity.  Rho runs
+    whole Brent rounds only (no advance without its comparisons): unless
+    c = 1 collides, it compares at most 2**20 - 1 (default) or 2**24 - 1
+    (high) pairs and stops.  The rho parameter ladder is fixed (x0 = 2,
     c = 1, 2, 3, ...), and a later c runs only after a collision, on the
     budget left, so results never depend on call order.
     """
