@@ -8,7 +8,6 @@ from .certify import (
     STATUS_FACTORIZATION_INCOMPLETE,
     STATUS_NOT_CONTROLLABLE,
     certify_dgs,
-    check_sqf_condition,
 )
 from .cospec import (
     EnumerationResult,
@@ -23,7 +22,6 @@ from .cospec import (
 from .errors import InvariantViolation
 from .fpalg import (
     ModPoly,
-    SquarefreeDecomposition,
     char_poly_mod_p,
     format_poly,
     poly_gcd,
@@ -67,7 +65,6 @@ __all__ = [
     "RationalOrthogonal",
     "SnfResult",
     "SpectrumKey",
-    "SquarefreeDecomposition",
     "STATUS_CONDITION_FAILS",
     "STATUS_DGS_BY_MAIN",
     "STATUS_FACTORIZATION_INCOMPLETE",
@@ -76,7 +73,6 @@ __all__ = [
     "char_poly_int",
     "char_poly_mod_p",
     "Xorshift64Star",
-    "check_sqf_condition",
     "derive_seed",
     "determinant",
     "emit_adjacency",

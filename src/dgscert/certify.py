@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -157,50 +156,35 @@ def _prime_report(g: Graph, snf: SnfResult, p: int) -> PhiReport:
     return rep
 
 
-def check_sqf_condition(g: Graph, effort: str = "default") -> tuple[str, dict]:
+def _half_determinant_rule(n: int, det: int, snf: SnfResult, dn_fact: FactorizationResult) -> str:
     """The half-determinant rule: PASS iff det W = +-2^floor(n/2) * b with b
     odd, squarefree and fully factored; UNKNOWN when b's factorization stays
-    partial; FAIL otherwise.  d_n is factored only when the 2-adic
-    valuation of det W and the odd part of d_{n-1} leave the answer open,
-    and there b is the odd part of d_n.
+    partial; FAIL otherwise.  b is the odd part of d_n whenever the 2-adic
+    valuation of det W and the odd part of d_{n-1} leave the answer open.
 
     On PASS the invariant-factor chain must take the rigid shape
     [1, ..., 1, 2, ..., 2, 2b]; a mismatch is an internal error.
     """
-    _check_effort(effort)
-    snf = smith_normal_form(walk_matrix(g))
-    det = snf.det_sign * snf.abs_det()
-    if det == 0:
-        raise ValueError("the half-determinant rule needs a controllable graph")
-    return _sqf_condition_from_snf(g.n, det, snf, lambda: factor_integer(snf.dn, effort))
-
-
-def _sqf_condition_from_snf(
-    n: int, det: int, snf: SnfResult, dn_factorization: Callable[[], FactorizationResult]
-) -> tuple[str, dict]:
     v2 = _two_adic_valuation(det)
-    evidence: dict = {"v2_det": v2, "v2_required": n // 2}
     if v2 < n // 2:
         raise InvariantViolation("2-adic valuation of det W below floor(n/2)")
     if v2 > n // 2:
-        return SQF_FAIL, evidence
+        return SQF_FAIL
     # the odd part of det W is prod of the odd parts of the invariant
     # factors, and every d_i divides d_n: squarefree forces the first n-1
     # odd parts to be 1 and the last to be squarefree.  At least floor(n/2)
     # of the d_i are even, so v2(det W) = floor(n/2) leaves v2(d_n) <= 1,
     # and d_n is squarefree exactly when its odd part is
     if n >= 2 and _odd_part(snf.factors[-2]) != 1:
-        evidence["repeated_odd_prime_before_dn"] = True
-        return SQF_FAIL, evidence
-    sf = dn_factorization().squarefree()
+        return SQF_FAIL
+    sf = dn_fact.squarefree()
     if sf is None:
-        return SQF_UNKNOWN, evidence
+        return SQF_UNKNOWN
     if not sf:
-        return SQF_FAIL, evidence
-    odd_det = _odd_part(abs(det))
-    if snf.factors != _expected_sqf_shape(n, odd_det):
+        return SQF_FAIL
+    if snf.factors != _expected_sqf_shape(n, _odd_part(abs(det))):
         raise InvariantViolation("squarefree half-determinant without the rigid invariant-factor shape")
-    return SQF_PASS, evidence
+    return SQF_PASS
 
 
 def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
@@ -210,8 +194,8 @@ def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
     of the last invariant factor d_n, squarefreeness of d_n, and for every
     odd prime factor the degree condition deg sfp = nullity (primes whose
     nullity is 1 satisfy it automatically).  The half-determinant rule runs
-    alongside; it can never certify a graph the main rule misses, and that
-    containment is enforced as an internal check.
+    alongside and reports as ``sqf_check``; it can never certify a graph the
+    main rule misses, and that containment is enforced as an internal check.
 
     Every odd prime examined gets its full ``PhiReport`` in the verdict, in
     ascending order up to the first one that fails, so a DGS_BY_MAIN verdict
@@ -237,13 +221,13 @@ def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
     if v2_dn >= 2:
         # 4 | d_n settles everything without touching the odd part: d_n is
         # not squarefree, and the half-determinant rule reads FAIL from
-        # v2(det W) > floor(n/2) before it asks for the factorization.
+        # v2(det W) > floor(n/2) before it reads the factorization.
         # Skipping the factorization here makes the large-order experiment
         # runs several times faster.
         dn_fact = FactorizationResult(((2, v2_dn),), dn >> v2_dn)
     else:
         dn_fact = factor_integer(dn, effort)
-    sqf_status, _ = _sqf_condition_from_snf(n, det, snf, lambda: dn_fact)
+    sqf_status = _half_determinant_rule(n, det, snf, dn_fact)
 
     def finish(status: str, rule: str | None, reports, failing) -> DgsVerdict:
         if status != STATUS_DGS_BY_MAIN and sqf_status == SQF_PASS:

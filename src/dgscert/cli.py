@@ -9,8 +9,9 @@ experiment commands can fan work out to a process pool without changing
 their output.
 
 Exit codes: 0 success / certified, 1 input error (usage errors included),
-2 not certified or verification failed, 3 internal invariant violated (a
-bug, not a property of the input).
+2 not certified or verification failed, 3 internal error: an invariant
+violated or any other unexpected exception (a bug, not a property of the
+input).
 """
 
 from __future__ import annotations
@@ -46,17 +47,18 @@ def _read_text(path: str) -> str:
 
 
 def _looks_like_adjacency(text: str) -> bool:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    return bool(lines) and all(set(ln.split()) <= {"0", "1"} and ln.split() for ln in lines)
+    # graph6 bytes are 63..126, never a digit, sign or space: a text of
+    # integer tokens can only be an adjacency matrix, well formed or not
+    tokens = text.split()
+    return bool(tokens) and all(tok.lstrip("+-").isdecimal() for tok in tokens)
 
 
-def read_graphs(path: str, fmt: str = "auto") -> list[Graph]:
+def read_graphs(path: str) -> list[Graph]:
     """Load graphs from a file ('-' for stdin): graph6 lines or one
-    adjacency matrix in the n-lines-of-0/1 text format."""
+    adjacency matrix in the n-lines-of-0/1 text format, told apart by the
+    text itself."""
     text = _read_text(path)
-    if fmt == "auto":
-        fmt = "adj" if _looks_like_adjacency(text) else "graph6"
-    if fmt == "adj":
+    if _looks_like_adjacency(text):
         return [parse_adjacency(text)]
     graphs = []
     for ln in text.splitlines():
@@ -74,7 +76,7 @@ def read_graphs(path: str, fmt: str = "auto") -> list[Graph]:
 def _cmd_certify(args) -> int:
     graphs = []
     for path in args.input:
-        graphs.extend(read_graphs(path, args.format))
+        graphs.extend(read_graphs(path))
     all_certified = True
     for g in graphs:
         with _on_graph(g):
@@ -95,7 +97,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_snf(args) -> int:
-    for g in read_graphs(args.input, args.format):
+    for g in read_graphs(args.input):
         with _on_graph(g):
             snf = smith_normal_form(walk_matrix(g))
         if args.json:
@@ -115,7 +117,7 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    for g in read_graphs(args.input, args.format):
+    for g in read_graphs(args.input):
         with _on_graph(g):
             rep = _prime_report(g, smith_normal_form(walk_matrix(g)), args.prime)
         if args.json:
@@ -220,7 +222,6 @@ def _cmd_conjecture_scan(args) -> int:
 
 def _add_io_flags(sub) -> None:
     sub.add_argument("input", help="input file ('-' for stdin)")
-    sub.add_argument("--format", choices=("auto", "graph6", "adj"), default="auto")
     sub.add_argument("--json", action="store_true", help="JSON output")
 
 
@@ -239,11 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("certify", help="certify graphs as determined by their generalized spectrum")
     p.add_argument("input", nargs="+", help="input files ('-' for stdin)")
-    p.add_argument("--format", choices=("auto", "graph6", "adj"), default="auto")
     p.add_argument("--effort", choices=_RHO_BUDGET, default="default")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True, help="JSON verdicts (default)")
-    fmt.add_argument("--text", action="store_true", help="human-readable verdicts")
+    p.add_argument("--text", action="store_true", help="human-readable verdicts instead of JSON")
     p.set_defaults(func=_cmd_certify)
 
     p = subs.add_parser("snf", help="invariant factors of the walk matrix")
@@ -297,6 +295,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         where = "" if exc.graph6 is None else f" (graph {exc.graph6})"
         print(f"internal error: invariant violated: {exc}{where}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -81,8 +81,6 @@ class ModPoly:
 
     def __mul__(self, other: "ModPoly") -> "ModPoly":
         self._need_same_field(other)
-        if self.is_zero() or other.is_zero():
-            return ModPoly.zero(self.p)
         p = self.p
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -108,8 +106,6 @@ class ModPoly:
         rem = list(self.coeffs)
         dv = other.coeffs
         dd = len(dv) - 1
-        if len(rem) - 1 < dd:
-            return ModPoly.zero(p), self
         inv_lead = pow(dv[-1], -1, p)
         quo = [0] * (len(rem) - dd)
         for top in range(len(rem) - 1, dd - 1, -1):
@@ -185,17 +181,6 @@ def poly_gcd(a: ModPoly, b: ModPoly) -> ModPoly:
     return a.monic()
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
-    """Pairwise-coprime squarefree parts g_j with strictly increasing j.
-
-    The product of g_j**j over all parts recovers the monic input.
-    """
-
-    p: int
-    parts: tuple[tuple[ModPoly, int], ...]
-
-
 def _pth_root(f: ModPoly) -> ModPoly:
     # f = h(x^p) with coefficients in F_p, where c^(1/p) = c (Frobenius)
     p = f.p
@@ -207,13 +192,8 @@ def _squarefree_parts(f: ModPoly) -> dict[int, ModPoly]:
     out: dict[int, ModPoly] = {}
     if f.degree == 0:
         return out
-    df = f.derivative()
-    if df.is_zero():
-        # every exponent is a multiple of p: f = h(x)^p
-        for m, g in _squarefree_parts(_pth_root(f)).items():
-            out[m * p] = g
-        return out
-    c = poly_gcd(f, df)
+    # a zero derivative makes c = f and w = 1: all of f is the leftover p-th power
+    c = poly_gcd(f, f.derivative())
     w = f.exact_div(c)
     i = 1
     while not w.is_one():
@@ -231,24 +211,25 @@ def _squarefree_parts(f: ModPoly) -> dict[int, ModPoly]:
     return out
 
 
-def squarefree_decomposition(f: ModPoly) -> SquarefreeDecomposition:
-    """Squarefree decomposition of a monic polynomial, characteristic-aware.
+def squarefree_decomposition(f: ModPoly) -> tuple[tuple[ModPoly, int], ...]:
+    """Squarefree decomposition of a monic polynomial, characteristic-aware:
+    pairwise-coprime monic squarefree parts (g_j, j) with strictly increasing
+    j, whose product of g_j**j recovers f.
 
-    The classic gcd cascade handles exponents coprime to p; whenever the
-    running remainder has zero derivative it is a p-th power h(x^p) and the
-    recursion continues on h via coefficient p-th roots (the identity map on
-    F_p coefficients).
+    The classic gcd cascade handles exponents coprime to p; what it leaves
+    over is a p-th power h(x^p), and the recursion continues on h via
+    coefficient p-th roots (the identity map on F_p coefficients).
     """
     if f.is_zero() or not f.is_monic():
         raise ValueError("squarefree decomposition requires a monic nonzero polynomial")
     parts = _squarefree_parts(f)
-    return SquarefreeDecomposition(f.p, tuple((parts[m].monic(), m) for m in sorted(parts)))
+    return tuple((parts[m].monic(), m) for m in sorted(parts))
 
 
 def sfp(f: ModPoly) -> ModPoly:
     """Square-free part: the product of the distinct monic irreducible factors."""
     out = ModPoly.one(f.p)
-    for g, _ in squarefree_decomposition(f).parts:
+    for g, _ in squarefree_decomposition(f):
         out = out * g
     return out
 
@@ -259,7 +240,7 @@ def sqrt_poly(f: ModPoly) -> ModPoly:
     Always a multiple of sfp(f) and a divisor of f.
     """
     out = ModPoly.one(f.p)
-    for g, j in squarefree_decomposition(f).parts:
+    for g, j in squarefree_decomposition(f):
         out = out * g.pow((j + 1) // 2)
     return out
 

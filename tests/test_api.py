@@ -41,7 +41,7 @@ def test_spec_surface_present():
         "factor_integer", "rational_solve",
         "char_poly_mod_p", "poly_gcd", "squarefree_decomposition", "sfp", "sqrt_poly",
         "phi_report",
-        "check_sqf_condition", "certify_dgs",
+        "certify_dgs",
         "spectrum_key", "verify_regular_orthogonal", "recover_q",
         "enumerate_generalized_cospectral_classes", "level_parity_audit",
     ):

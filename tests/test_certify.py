@@ -5,13 +5,14 @@ import pytest
 from dgscert import certify, ntheory
 from dgscert.certify import (
     SQF_FAIL,
+    SQF_NOT_RUN,
     SQF_PASS,
+    SQF_UNKNOWN,
     STATUS_CONDITION_FAILS,
     STATUS_DGS_BY_MAIN,
     STATUS_FACTORIZATION_INCOMPLETE,
     STATUS_NOT_CONTROLLABLE,
     certify_dgs,
-    check_sqf_condition,
     validate_verdict_dict,
 )
 from dgscert.fixtures import dgs16_graph, mate9_graph
@@ -42,50 +43,34 @@ class TestControllability:
 
 
 class TestSqfCondition:
+    """The half-determinant rule, read as the verdict's ``sqf_check``."""
+
     def test_dgs16_fails(self):
-        status, evidence = check_sqf_condition(dgs16_graph())
-        assert status == SQF_FAIL
-        assert evidence["repeated_odd_prime_before_dn"]
+        # det W = +-2^8 * 3^2 * b: the odd prime 3 already divides d_{n-1}
+        v = certify_dgs(dgs16_graph())
+        assert v.sqf_check == SQF_FAIL
+        assert ntheory._two_adic_valuation(v.det_w) == 8 and v.dn_squarefree()
+        assert v.snf.factors[-2] == 6
 
     def test_mate9_fails(self):
-        status, _ = check_sqf_condition(mate9_graph())
-        assert status == SQF_FAIL
-
-    @pytest.mark.parametrize("graph", [dgs16_graph, mate9_graph])
-    def test_decided_by_dn_minus_one_without_factoring(self, graph, monkeypatch):
-        # an odd prime already in d_{n-1} fails the rule before d_n's odd
-        # part is needed
-        def no_factoring(*args, **kwargs):
-            raise AssertionError("the odd part of d_n was factored")
-
-        monkeypatch.setattr(certify, "factor_integer", no_factoring)
-        assert check_sqf_condition(graph())[0] == SQF_FAIL
+        assert certify_dgs(mate9_graph()).sqf_check == SQF_FAIL
 
     def test_single_vertex_passes(self, k1):
-        status, _ = check_sqf_condition(k1)
-        assert status == SQF_PASS
-
-    def test_needs_controllable_input(self, k2):
-        with pytest.raises(ValueError, match="controllable"):
-            check_sqf_condition(k2)
+        assert certify_dgs(k1).sqf_check == SQF_PASS
 
     def test_passing_graphs_exist_in_corpus(self):
         # random graphs routinely satisfy the half-determinant rule; make
         # sure the PASS path is exercised end to end
-        statuses = [check_sqf_condition(g)[0] for g in seeded_corpus(20, 9, 12, seed=0xF00D) if check_controllable(g)]
+        statuses = [certify_dgs(g).sqf_check for g in seeded_corpus(20, 9, 12, seed=0xF00D)]
         assert SQF_PASS in statuses
 
     def test_unknown_when_odd_part_resists_low_effort(self):
         # frozen seed: structurally eligible graph whose odd determinant
         # part stays partially factored without the rho stage
-        from dgscert.certify import SQF_UNKNOWN
-        from dgscert.graphcore import derive_seed, random_graph
-
         g = random_graph(14, derive_seed(31337, 14, 8))
-        status, _ = check_sqf_condition(g, effort="low")
-        assert status == SQF_UNKNOWN
+        assert certify_dgs(g, effort="low").sqf_check == SQF_UNKNOWN
         # the rho stage settles it either way
-        assert check_sqf_condition(g, effort="default")[0] in (SQF_PASS, SQF_FAIL)
+        assert certify_dgs(g, effort="default").sqf_check in (SQF_PASS, SQF_FAIL)
 
 
 class TestDnFactorization:
@@ -175,6 +160,7 @@ class TestCertifyFixtures:
         v = certify_dgs(k2)
         assert v.status == STATUS_NOT_CONTROLLABLE
         assert v.det_w == 0 and v.dn == 0
+        assert v.sqf_check == SQF_NOT_RUN
 
     def test_low_effort_leaves_factorization_incomplete(self):
         v = certify_dgs(dgs16_graph(), effort="low")
@@ -196,9 +182,8 @@ class TestCertifyFixtures:
         # neither graph reaches the factoring ladder, which also rejects it
         g = random_graph(12, derive_seed(1, 12, k))
         assert certify_dgs(g).status == status
-        for check in (certify_dgs, check_sqf_condition):
-            with pytest.raises(ValueError, match="unknown effort level 'bogus'"):
-                check(g, "bogus")
+        with pytest.raises(ValueError, match="unknown effort level 'bogus'"):
+            certify_dgs(g, "bogus")
 
 
 class TestVerdictJson:

@@ -22,6 +22,7 @@ from dgscert.experiments import ExperimentRow, run_conjecture_scan, run_experime
 from dgscert.graphcore import derive_seed, emit_adjacency, emit_graph6, random_graph
 from dgscert.zlinalg import smith_normal_form, walk_matrix
 from conftest import BIG_PRIME, BIG_PRIME_GRAPH
+from test_fixture_files import REPO_FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +81,26 @@ class TestCertifyCommand:
         assert statuses == ["DGS_BY_MAIN", "NOT_CONTROLLABLE"]
         assert code == 2  # not every input was certified
 
-    def test_forced_format(self, fixture_files, capsys):
-        code = main(["certify", str(fixture_files / "mate9.adj"), "--format", "adj"])
-        assert json.loads(capsys.readouterr().out)["n"] == 9 and code == 2
-        # forcing graph6 on adjacency text must fail as input error
-        assert main(["certify", str(fixture_files / "mate9.adj"), "--format", "graph6"]) == 1
+
+class TestInputFormat:
+    """The text decides its format: graph6 bytes are 63..126, so a text of
+    integer tokens is an adjacency matrix."""
+
+    def test_committed_graph6_fixtures_read_as_graph6(self):
+        for name, graph in (("dgs16.g6", fixtures.dgs16_graph()), ("mate9.g6", fixtures.mate9_graph())):
+            assert cli.read_graphs(str(REPO_FIXTURES / name)) == [graph]
+        assert cli.read_graphs(str(REPO_FIXTURES / "mate9.adj")) == [fixtures.mate9_graph()]
+
+    @pytest.mark.parametrize(
+        "text, entry",
+        [("0 1\n1 2\n", (1, 1)), ("0 -1\n-1 0\n", (0, 1))],
+        ids=["entry-2", "entry-minus-1"],
+    )
+    def test_malformed_adjacency_names_the_entry(self, tmp_path, capsys, text, entry):
+        path = tmp_path / "bad.adj"
+        path.write_text(text)
+        assert main(["certify", str(path)]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: adjacency entry at {entry} is not 0/1\n"
 
 
 class TestUsageErrors:
@@ -94,8 +110,12 @@ class TestUsageErrors:
             ["certify", "--bogus", "dgs16.g6"],
             ["invariants", "mate9.adj", "-p", "notanint"],
             ["certify", "dgs16.g6", "--primes-limit", "2"],
+            ["certify", "mate9.adj", "--format", "adj"],
+            ["certify", "dgs16.g6", "--json"],
+            ["snf", "mate9.adj", "--format", "adj"],
         ],
-        ids=["unknown-flag", "non-integer-prime", "removed-primes-limit"],
+        ids=["unknown-flag", "non-integer-prime", "removed-primes-limit", "removed-format", "removed-certify-json",
+             "removed-snf-format"],
     )
     def test_exit_one_not_the_not_certified_two(self, fixture_files, capsys, argv):
         argv = [str(fixture_files / a) if a.endswith((".g6", ".adj")) else a for a in argv]
@@ -194,6 +214,16 @@ class TestInvariantViolationExit:
         assert code == EXIT_INVARIANT and captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.endswith(f"(graph {emit_graph6(random_graph(10, derive_seed(4, 10, 0)))})")
+
+    def test_any_other_exception_is_an_internal_error(self, fixture_files, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "certify_dgs", crash)
+        code = main(["certify", str(fixture_files / "dgs16.g6")])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVARIANT and captured.out == ""
+        assert captured.err == "internal error: ZeroDivisionError: division by zero\n"
 
     def test_graph_tag_survives_the_worker_pickle(self):
         exc = InvariantViolation("divisibility chain broke")

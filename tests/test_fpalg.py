@@ -86,6 +86,12 @@ class TestModPoly:
                 assert q * b == P(p, *(x - y for x, y in zip_longest(a.coeffs, r.coeffs, fillvalue=0)))
                 assert r.degree < b.degree
 
+    def test_zero_product_and_short_dividend(self):
+        zero = ModPoly.zero(5)
+        assert P(5, 1, 1) * zero == zero * P(5, 1, 1) == zero * zero == zero
+        assert P(5, 1, 1).divmod(P(5, 0, 0, 1)) == (zero, P(5, 1, 1))
+        assert zero.divmod(P(5, 2)) == (zero, zero)
+
     def test_exact_div_rejects_remainder(self):
         with pytest.raises(ValueError):
             P(5, 1, 1).exact_div(P(5, 2, 1))
@@ -135,14 +141,17 @@ class TestSquarefreeDecomposition:
     def test_double_factor(self):
         f = P(3, 2, 1, 1).pow(2)  # (x^2+x+2)^2
         dec = squarefree_decomposition(f)
-        assert dec.parts == ((P(3, 2, 1, 1), 2),)
+        assert dec == ((P(3, 2, 1, 1), 2),)
 
     def test_squarefree_input(self):
         f = P(5, 1, 1, 0, 1)
-        assert squarefree_decomposition(f).parts == ((f, 1),)
+        assert squarefree_decomposition(f) == ((f, 1),)
 
     def test_pure_pth_power(self):
-        assert squarefree_decomposition(P(3, 0, 0, 0, 1)).parts == ((P(3, 0, 1), 3),)
+        assert squarefree_decomposition(P(3, 0, 0, 0, 1)) == ((P(3, 0, 1), 3),)
+        # x^3 (x+1)^9 over F_3: the zero derivative sends all of it to the p-th root, twice
+        f = P(3, 0, 1).pow(3) * P(3, 1, 1).pow(9)
+        assert squarefree_decomposition(f) == ((P(3, 0, 1), 3), (P(3, 1, 1), 9))
 
     def test_requires_monic_nonzero(self):
         with pytest.raises(ValueError):
@@ -165,7 +174,7 @@ class TestSquarefreeDecomposition:
                 for q, e in zip(irreducibles, exponents):
                     expected[e] = expected.get(e, ModPoly.one(p)) * q
                 dec = squarefree_decomposition(f)
-                assert {m: g for g, m in dec.parts} == expected
+                assert {m: g for g, m in dec} == expected
 
     def test_reassembly_and_part_invariants(self):
         gen = Xorshift64Star(29)
@@ -177,14 +186,14 @@ class TestSquarefreeDecomposition:
                     f = f * q.pow(1 + gen.next_u64() % 4)
                 dec = squarefree_decomposition(f)
                 product = ModPoly.one(p)
-                for g, j in dec.parts:
+                for g, j in dec:
                     product = product * g.pow(j)
                 assert product == f
-                mults = [m for _, m in dec.parts]
+                mults = [m for _, m in dec]
                 assert mults == sorted(set(mults))
-                for i, (g, _) in enumerate(dec.parts):
+                for i, (g, _) in enumerate(dec):
                     assert poly_gcd(g, g.derivative()).is_one()  # squarefree part
-                    for h, _ in dec.parts[i + 1 :]:
+                    for h, _ in dec[i + 1 :]:
                         assert poly_gcd(g, h).is_one()
 
 

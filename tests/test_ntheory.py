@@ -285,6 +285,19 @@ class TestBrentRhoBudget:
                     seen["partial round only" if old[0] is not None else "none"] += 1
         assert min(seen.values()) > 0, seen
 
+    def test_collision_backtrack_splits(self):
+        # 1058441 = 1009 * 1049: the running product takes in both primes
+        # between two gcd probes, and stepping back one pair at a time splits it
+        assert _brent_rho(1058441, 1, 4096) == (1049, 63)
+
+    def test_collision_backtrack_meeting_n_reports_no_split(self):
+        # 35 = 5 * 7: x and y meet modulo both primes at the same step
+        assert _brent_rho(35, 1, 4096) == (None, 3)
+
+    def test_two_seven_digit_primes_factor_completely(self):
+        fr = factor_integer(1000691 * 1000723)
+        assert fr.prime_powers == ((1000691, 1), (1000723, 1)) and fr.is_complete
+
 
 class TestIsPrime:
     def test_small_range_matches_sympy(self):

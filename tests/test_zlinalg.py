@@ -542,15 +542,23 @@ class TestSchurStart:
         t, delta, _ = schur or (0, 1, None)
         return r, t, gcd(delta, modulus)
 
-    def _assert_matches_reference(self, m, sizes: list[int]) -> int:
+    def _assert_matches_reference(self, m, sizes: list[int], mod_det: bool = False) -> int:
         """Compare with the elimination over Z (and sympy below order 7);
-        return the order of the block eliminated mod M."""
+        return the order of the block eliminated mod M.  With ``mod_det``
+        the elimination runs modulo |det m| from the one-step Bareiss
+        oracle: for a nonsingular matrix gcd(d_i, |det|) = d_i."""
         from sympy.matrices.normalforms import invariant_factors
 
         sizes.clear()
         snf = smith_normal_form(m)
-        factors, sign = eliminate_over_z([list(row) for row in m])
         det = determinant(m)
+        if mod_det:
+            rank, lead, _ = bareiss_one_step([list(row) for row in m])
+            assert rank == len(m) and lead == det, m
+            factors, _ = eliminate_over_z([[v % abs(lead) for v in row] for row in m], abs(lead))
+            sign = 1 if lead > 0 else -1
+        else:
+            factors, sign = eliminate_over_z([list(row) for row in m])
         assert snf.factors == factors, m
         assert snf.det_sign * snf.abs_det() == det, m
         assert snf.det_sign == (sign if det else 0), m
@@ -692,7 +700,7 @@ class TestSchurStart:
         sizes = self._eliminated_sizes(monkeypatch)
         for n in (56, 64):
             w = walk_matrix(random_graph(n, derive_seed(self.POOL, n, 0)))
-            assert self._assert_matches_reference(w, sizes) <= n - n // 2 + 2
+            assert self._assert_matches_reference(w, sizes, mod_det=True) <= n - n // 2 + 2
 
     def test_schur_start_is_taken_on_most_n48_pool_walk_matrices(self, monkeypatch):
         # no timing: the order of the block eliminated mod M.  Of the 12
