@@ -190,8 +190,6 @@ def _pth_root(f: ModPoly) -> ModPoly:
 def _squarefree_parts(f: ModPoly) -> dict[int, ModPoly]:
     p = f.p
     out: dict[int, ModPoly] = {}
-    if f.degree == 0:
-        return out
     # a zero derivative makes c = f and w = 1: all of f is the leftover p-th power
     c = poly_gcd(f, f.derivative())
     w = f.exact_div(c)

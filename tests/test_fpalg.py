@@ -146,6 +146,7 @@ class TestSquarefreeDecomposition:
     def test_squarefree_input(self):
         f = P(5, 1, 1, 0, 1)
         assert squarefree_decomposition(f) == ((f, 1),)
+        assert squarefree_decomposition(ModPoly.one(5)) == ()
 
     def test_pure_pth_power(self):
         assert squarefree_decomposition(P(3, 0, 0, 0, 1)) == ((P(3, 0, 1), 3),)
