@@ -37,11 +37,14 @@ SQF_NOT_RUN = "NOT_RUN"
 
 @dataclass(frozen=True)
 class DgsVerdict:
-    """Certification outcome plus the evidence that justifies it."""
+    """Certification outcome plus the evidence that justifies it.
+
+    The JSON's ``rule`` and ``n`` are derived, not stored: the rule is
+    RULE_MAIN exactly when the status certifies, and n is the number of
+    invariant factors.
+    """
 
     status: str
-    rule: str | None
-    n: int
     det_w: int
     snf: SnfResult
     dn_factorization: FactorizationResult | None
@@ -70,8 +73,8 @@ class DgsVerdict:
         text = {d: str(d) for d in set(self.snf.factors)}
         return {
             "status": self.status,
-            "rule": self.rule,
-            "n": self.n,
+            "rule": RULE_MAIN if self.certified else None,
+            "n": len(self.snf.factors),
             "det_W": str(self.det_w),
             "snf": [text[d] for d in self.snf.factors],
             "dn": text[self.dn],
@@ -209,7 +212,7 @@ def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
     notes: list[str] = []
     if det == 0:
         return DgsVerdict(
-            STATUS_NOT_CONTROLLABLE, None, n, 0, snf, None, (), None, SQF_NOT_RUN,
+            STATUS_NOT_CONTROLLABLE, 0, snf, None, (), None, SQF_NOT_RUN,
             ("walk matrix is singular; no certification possible",),
         )
     dn = snf.dn
@@ -229,15 +232,15 @@ def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
         dn_fact = factor_integer(dn, effort)
     sqf_status = _half_determinant_rule(n, det, snf, dn_fact)
 
-    def finish(status: str, rule: str | None, reports, failing) -> DgsVerdict:
+    def finish(status: str, reports, failing) -> DgsVerdict:
         if status != STATUS_DGS_BY_MAIN and sqf_status == SQF_PASS:
             raise InvariantViolation("half-determinant rule passed but the d_n rule did not")
         notes.append(f"half-determinant rule: {sqf_status}")
-        return DgsVerdict(status, rule, n, det, snf, dn_fact, tuple(reports), failing, sqf_status, tuple(notes))
+        return DgsVerdict(status, det, snf, dn_fact, tuple(reports), failing, sqf_status, tuple(notes))
 
     if dn_fact.squarefree() is None:
         notes.append(f"unfactored cofactor {dn_fact.cofactor} blocks the squarefreeness decision")
-        return finish(STATUS_FACTORIZATION_INCOMPLETE, None, (), None)
+        return finish(STATUS_FACTORIZATION_INCOMPLETE, (), None)
     if dn_fact.squarefree() is False:
         repeated = next((p for p, e in dn_fact.prime_powers if e >= 2), None)
         if repeated is None:
@@ -247,7 +250,7 @@ def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
         else:
             skipped = " (odd part left unfactored)" if v2_dn >= 2 else ""
             notes.append(f"d_n is not squarefree: {repeated}^2 divides it{skipped}")
-        return finish(STATUS_CONDITION_FAILS, None, (), repeated)
+        return finish(STATUS_CONDITION_FAILS, (), repeated)
 
     if dn % 4 == 2:
         notes.append("d_n = 2 (mod 4): any conjugating rational orthogonal matrix has odd level")
@@ -261,5 +264,5 @@ def certify_dgs(g: Graph, effort: str = "default") -> DgsVerdict:
             raise InvariantViolation(f"nullity 1 must force a degree-1 squarefree part at p={p}")
         reports.append(rep)
         if not rep.eq_degrees_match:
-            return finish(STATUS_CONDITION_FAILS, None, reports, p)
-    return finish(STATUS_DGS_BY_MAIN, RULE_MAIN, reports, None)
+            return finish(STATUS_CONDITION_FAILS, reports, p)
+    return finish(STATUS_DGS_BY_MAIN, reports, None)

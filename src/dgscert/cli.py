@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
 from . import cospec
 from .certify import _prime_report, certify_dgs
 from .errors import InvariantViolation, _on_graph
-from .experiments import run_conjecture_scan, run_experiment
+from .experiments import ExperimentRow, run_conjecture_scan, run_experiment
 from .graphcore import Graph, Graph6Error, parse_adjacency, parse_graph6
 from .ntheory import _RHO_BUDGET
 from .zlinalg import smith_normal_form, walk_matrix
@@ -47,10 +48,10 @@ def _read_text(path: str) -> str:
 
 
 def _looks_like_adjacency(text: str) -> bool:
-    # graph6 bytes are 63..126, never a digit, sign or space: a text of
-    # integer tokens can only be an adjacency matrix, well formed or not
-    tokens = text.split()
-    return bool(tokens) and all(tok.lstrip("+-").isdecimal() for tok in tokens)
+    # graph6 bytes are 63..126, never a digit or a sign: a text that starts
+    # with one can only be an adjacency matrix, well formed or not
+    head = text.lstrip()[:1]
+    return head.isdigit() or head in ("+", "-")
 
 
 def read_graphs(path: str) -> list[Graph]:
@@ -137,8 +138,7 @@ def _cmd_verify_q(args) -> int:
         recovered = cospec.recover_q(g_first, g_second)
         report["recovered_matches"] = recovered.numerators == q.numerators
         ok = ok and report["recovered_matches"]
-        entry = cospec.level_parity_audit([(g_first, g_second)])[0]
-        report["audit"] = entry.to_json_dict()
+        report["audit"] = cospec.level_parity_audit(g_first, g_second).to_json_dict()
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -170,12 +170,6 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-CSV_COLUMNS = [
-    "n", "samples", "dn_squarefree", "dgs_by_sqf_rule", "dgs_by_main_rule",
-    "unknown", "seed", "incomplete", "not_controllable",
-]
-
-
 def _experiment_json(args, n_list: list[int], **fields) -> str:
     params = {"n_list": n_list, "samples": args.samples, "seed": args.seed, "effort": args.effort}
     return json.dumps({"params": params, **fields}, indent=2)
@@ -190,10 +184,8 @@ def _cmd_table1(args) -> int:
         print(_experiment_json(args, n_list, truncated=truncated, rows=[r.to_json_dict() for r in rows]))
     else:
         writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            d = r.to_json_dict()
-            writer.writerow([d[c] for c in CSV_COLUMNS])
+        writer.writerow(f.name for f in dataclasses.fields(ExperimentRow))
+        writer.writerows(dataclasses.astuple(r) for r in rows)
         if truncated:
             print("# truncated: time limit reached before all orders were sampled")
     return EXIT_OK

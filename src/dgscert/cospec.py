@@ -267,13 +267,16 @@ def iter_isomorphism_classes(n: int) -> list[Graph]:
 
 @dataclass(frozen=True)
 class LevelAuditEntry:
+    """The audit of one conjugator: its level, d_n, and for each odd prime p
+    of the level a pair (p, degrees match at p).  The JSON derives the rest:
+    d_n mod 4, the parity of the level, and ``divides_level``, which holds
+    for every listed prime."""
+
     graph6_first: str
     graph6_second: str
     level: int
     dn: int
-    dn_mod_4: int
-    level_odd: bool
-    prime_checks: tuple[tuple[int, bool, bool], ...]  # (p, degrees_match, p_divides_level)
+    prime_checks: tuple[tuple[int, bool], ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -281,54 +284,41 @@ class LevelAuditEntry:
             "h": self.graph6_second,
             "level": self.level,
             "dn": str(self.dn),
-            "dn_mod_4": self.dn_mod_4,
-            "level_odd": self.level_odd,
+            "dn_mod_4": self.dn % 4,
+            "level_odd": self.level % 2 == 1,
             "prime_checks": [
-                {"p": str(p), "eq4_holds": eq, "divides_level": dl} for p, eq, dl in self.prime_checks
+                {"p": str(p), "eq4_holds": eq, "divides_level": True} for p, eq in self.prime_checks
             ],
         }
 
 
-def level_parity_audit(pairs) -> list[LevelAuditEntry]:
-    """Audit recovered conjugators against the proven level constraints.
+def level_parity_audit(g_first: Graph, g_second: Graph) -> LevelAuditEntry:
+    """Audit the recovered conjugator of a generalized-cospectral pair (the
+    first graph controllable) against the proven level constraints.
 
-    For each generalized-cospectral pair (first controllable): the level
-    must divide d_n; it must be odd when d_n = 2 mod 4; and no odd prime p
-    with p || d_n and matching sfp/nullity degrees may divide it.  Any
-    breach is a fatal inconsistency, not a reportable finding.
+    The level must divide d_n; it must be odd when d_n = 2 mod 4; and no odd
+    prime p with p || d_n and matching sfp/nullity degrees may divide it.
+    Any breach is a fatal inconsistency, not a reportable finding.
     """
-    entries = []
-    for g_first, g_second in pairs:
-        q = recover_q(g_first, g_second)
-        snf = smith_normal_form(walk_matrix(g_first))
-        dn = snf.dn
-        if dn % q.level:
-            raise InvariantViolation("conjugator level does not divide the last invariant factor")
-        if dn % 4 == 2 and q.level % 2 == 0:
-            raise InvariantViolation("even level despite d_n = 2 (mod 4)")
-        checks = []
-        level_fact = factor_integer(q.level)
-        if not level_fact.is_complete:
-            raise InvariantViolation("conjugator level resists factorization; audit cannot be completed")
-        for p in level_fact.primes():
-            if p == 2:
-                continue
-            exactly_divides = dn % p == 0 and (dn // p) % p != 0
-            eq4 = _prime_report(g_first, snf, p).eq_degrees_match
-            if exactly_divides and eq4:
-                raise InvariantViolation(
-                    f"prime {p} divides the level although the degree condition holds and p || d_n"
-                )
-            checks.append((p, eq4, True))
-        entries.append(
-            LevelAuditEntry(
-                emit_graph6(g_first),
-                emit_graph6(g_second),
-                q.level,
-                dn,
-                dn % 4,
-                q.level % 2 == 1,
-                tuple(checks),
+    q = recover_q(g_first, g_second)
+    snf = smith_normal_form(walk_matrix(g_first))
+    dn = snf.dn
+    if dn % q.level:
+        raise InvariantViolation("conjugator level does not divide the last invariant factor")
+    if dn % 4 == 2 and q.level % 2 == 0:
+        raise InvariantViolation("even level despite d_n = 2 (mod 4)")
+    checks = []
+    level_fact = factor_integer(q.level)
+    if not level_fact.is_complete:
+        raise InvariantViolation("conjugator level resists factorization; audit cannot be completed")
+    for p in level_fact.primes():
+        if p == 2:
+            continue
+        exactly_divides = dn % p == 0 and (dn // p) % p != 0
+        eq4 = _prime_report(g_first, snf, p).eq_degrees_match
+        if exactly_divides and eq4:
+            raise InvariantViolation(
+                f"prime {p} divides the level although the degree condition holds and p || d_n"
             )
-        )
-    return entries
+        checks.append((p, eq4))
+    return LevelAuditEntry(emit_graph6(g_first), emit_graph6(g_second), q.level, dn, tuple(checks))

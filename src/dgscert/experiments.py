@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .certify import (
     SQF_PASS,
@@ -30,44 +30,36 @@ from .zlinalg import smith_normal_form, walk_matrix
 class ExperimentRow:
     """Per-order tallies of the random-graph certification experiment.
 
-    ``n_incomplete`` counts FACTORIZATION_INCOMPLETE verdicts and
-    ``n_not_controllable`` singular walk matrices; a graph whose d_n could
-    not be decided is in neither the square-free nor the not-square-free
-    share, and these columns say how many there were.
+    The fields, in order, are the ``table1`` output columns: the JSON keys
+    and the CSV header are their names.  ``incomplete`` counts
+    FACTORIZATION_INCOMPLETE verdicts and ``not_controllable`` singular walk
+    matrices; a graph whose d_n could not be decided is in neither the
+    square-free nor the not-square-free share, and these columns say how
+    many there were.
     """
 
     n: int
     samples: int
-    n_squarefree_dn: int
-    n_dgs_thm_sqf: int
-    n_dgs_thm_main: int
-    n_unknown: int
+    dn_squarefree: int
+    dgs_by_sqf_rule: int
+    dgs_by_main_rule: int
+    unknown: int
     seed: int
-    n_incomplete: int
-    n_not_controllable: int
+    incomplete: int
+    not_controllable: int
 
     def __post_init__(self):
         ok = (
-            self.n_dgs_thm_sqf <= self.n_dgs_thm_main <= self.n_squarefree_dn
-            and self.n_unknown == self.n_squarefree_dn - self.n_dgs_thm_main
-            and self.n_squarefree_dn + self.n_not_controllable <= self.samples
-            and self.n_incomplete + self.n_not_controllable <= self.samples
+            self.dgs_by_sqf_rule <= self.dgs_by_main_rule <= self.dn_squarefree
+            and self.unknown == self.dn_squarefree - self.dgs_by_main_rule
+            and self.dn_squarefree + self.not_controllable <= self.samples
+            and self.incomplete + self.not_controllable <= self.samples
         )
         if not ok:
             raise InvariantViolation(f"inconsistent experiment tallies for n={self.n}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "dn_squarefree": self.n_squarefree_dn,
-            "dgs_by_sqf_rule": self.n_dgs_thm_sqf,
-            "dgs_by_main_rule": self.n_dgs_thm_main,
-            "unknown": self.n_unknown,
-            "seed": self.seed,
-            "incomplete": self.n_incomplete,
-            "not_controllable": self.n_not_controllable,
-        }
+        return asdict(self)
 
 
 def _certify_sample(args: tuple[int, int, str]) -> tuple[bool, bool, str]:
@@ -141,13 +133,7 @@ class ScanFinding:
     sqrt_divides_restricted: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "p": str(self.p),
-            "nullity": self.nullity,
-            "deg_sqrt": self.deg_sqrt,
-            "sqrt_divides_restricted": self.sqrt_divides_restricted,
-        }
+        return {**asdict(self), "p": str(self.p)}
 
 
 @dataclass
@@ -160,14 +146,7 @@ class ScanRow:
     findings: list[ScanFinding]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "graphs_skipped": self.graphs_skipped,
-            "prime_checks": self.prime_checks,
-            "deg_matches": self.deg_matches,
-            "findings": [f.to_json_dict() for f in self.findings],
-        }
+        return {**asdict(self), "findings": [f.to_json_dict() for f in self.findings]}
 
 
 def _scan_sample(args: tuple[int, int, str]) -> tuple[int, int, int, list[ScanFinding]]:

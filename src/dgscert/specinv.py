@@ -97,7 +97,6 @@ class PhiReport:
     """
 
     p: int
-    n: int
     nullity: int
     phi: ModPoly
     sfp_phi: ModPoly
@@ -136,10 +135,9 @@ def phi_report(g: Graph, p: int) -> PhiReport:
     divisibility chain sfp | restricted | phi.
     """
     fpalg._check_modulus(p)
-    n = g.n
     adj = g.adjacency()
     rank, main, chi = _hessenberg_at_e(adj, p)
-    nullity = n - rank
+    nullity = g.n - rank
     phi = _phi(chi, adj, p)
     if phi.is_zero():
         raise InvariantViolation("phi must be nonzero for a nonzero characteristic polynomial")
@@ -154,4 +152,4 @@ def phi_report(g: Graph, p: int) -> PhiReport:
         raise InvariantViolation(f"restricted charpoly does not divide phi at p={p}")
     if not sfp_phi.divides(restricted):
         raise InvariantViolation(f"sfp(phi) does not divide the restricted charpoly at p={p}")
-    return PhiReport(p, n, nullity, phi, sfp_phi, sqrt_phi, restricted, main)
+    return PhiReport(p, nullity, phi, sfp_phi, sqrt_phi, restricted, main)

@@ -170,11 +170,11 @@ def test_criterion_5_experiment_statistics():
         assert not truncated
         for row in rows:
             # band checks in exact integer arithmetic: 0.15 <= fraction <= 0.40
-            assert 100 * row.n_squarefree_dn >= 15 * row.samples, f"n={row.n}: squarefree fraction below band"
-            assert 100 * row.n_squarefree_dn <= 40 * row.samples, f"n={row.n}: squarefree fraction above band"
-            assert row.n_dgs_thm_main >= row.n_dgs_thm_sqf
+            assert 100 * row.dn_squarefree >= 15 * row.samples, f"n={row.n}: squarefree fraction below band"
+            assert 100 * row.dn_squarefree <= 40 * row.samples, f"n={row.n}: squarefree fraction above band"
+            assert row.dgs_by_main_rule >= row.dgs_by_sqf_rule
             # unknown share at most 20% of the squarefree rows
-            assert 5 * row.n_unknown <= row.n_squarefree_dn, f"n={row.n}: unknown share too high"
+            assert 5 * row.unknown <= row.dn_squarefree, f"n={row.n}: unknown share too high"
             print(f"  n={row.n}: {row.to_json_dict()}")
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import pickle
@@ -83,8 +84,8 @@ class TestCertifyCommand:
 
 
 class TestInputFormat:
-    """The text decides its format: graph6 bytes are 63..126, so a text of
-    integer tokens is an adjacency matrix."""
+    """The text decides its format: graph6 bytes are 63..126, so a text
+    whose first character is a digit or a sign is an adjacency matrix."""
 
     def test_committed_graph6_fixtures_read_as_graph6(self):
         for name, graph in (("dgs16.g6", fixtures.dgs16_graph()), ("mate9.g6", fixtures.mate9_graph())):
@@ -101,6 +102,17 @@ class TestInputFormat:
         path.write_text(text)
         assert main(["certify", str(path)]) == cli.EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: adjacency entry at {entry} is not 0/1\n"
+
+    def test_stray_token_in_adjacency_is_named(self, monkeypatch, capsys):
+        # the first character decides: one bad token does not turn the
+        # text into graph6
+        monkeypatch.setattr(sys, "stdin", io.StringIO("0 1\n1 x\n"))
+        assert main(["snf", "-"]) == cli.EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: non-integer token in adjacency matrix: invalid literal for int() with base 10: 'x'\n"
+        )
 
 
 class TestUsageErrors:
@@ -386,8 +398,8 @@ class TestHarnessFunctions:
         rows, truncated = run_experiment([8], samples=15, seed=11)
         assert not truncated
         (row,) = rows
-        assert row.n_dgs_thm_sqf <= row.n_dgs_thm_main <= row.n_squarefree_dn
-        assert row.n_unknown == row.n_squarefree_dn - row.n_dgs_thm_main
+        assert row.dgs_by_sqf_rule <= row.dgs_by_main_rule <= row.dn_squarefree
+        assert row.unknown == row.dn_squarefree - row.dgs_by_main_rule
 
     def test_run_experiment_worker_pool_matches_serial(self):
         serial, _ = run_experiment([7], samples=10, seed=2, jobs=1)
@@ -420,10 +432,15 @@ class TestHarnessFunctions:
         assert asked == [3, 2]
 
     def test_experiment_row_validates_tallies(self):
-        with pytest.raises(InvariantViolation):
+        # each row breaks one clause of __post_init__ and keeps the others
+        with pytest.raises(InvariantViolation):  # dgs_by_sqf_rule > dgs_by_main_rule
             ExperimentRow(8, 10, 5, 6, 4, 1, 0, 0, 0)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation):  # unknown != dn_squarefree - dgs_by_main_rule
+            ExperimentRow(8, 10, 5, 4, 4, 2, 0, 0, 0)
+        with pytest.raises(InvariantViolation):  # dn_squarefree + not_controllable > samples
             ExperimentRow(8, 10, 5, 4, 4, 1, 0, 0, 6)
+        with pytest.raises(InvariantViolation):  # incomplete + not_controllable > samples
+            ExperimentRow(8, 10, 0, 0, 0, 0, 0, 5, 6)
 
     def test_run_experiment_counts_incomplete_and_not_controllable(self):
         # low effort leaves d_n unfactored on some n = 16 graphs; most n = 8
@@ -431,9 +448,9 @@ class TestHarnessFunctions:
         rows, _ = run_experiment([8, 16], samples=10, seed=1, effort="low")
         for row in rows:
             statuses = [certify_dgs(random_graph(row.n, derive_seed(1, row.n, k)), "low").status for k in range(10)]
-            assert row.n_incomplete == statuses.count(STATUS_FACTORIZATION_INCOMPLETE)
-            assert row.n_not_controllable == statuses.count(STATUS_NOT_CONTROLLABLE)
-        assert rows[0].n_not_controllable > 0 and rows[1].n_incomplete > 0
+            assert row.incomplete == statuses.count(STATUS_FACTORIZATION_INCOMPLETE)
+            assert row.not_controllable == statuses.count(STATUS_NOT_CONTROLLABLE)
+        assert rows[0].not_controllable > 0 and rows[1].incomplete > 0
 
     def test_scan_counts(self):
         rows = run_conjecture_scan([9], samples=6, seed=4)

@@ -178,25 +178,26 @@ class TestEnumeration:
 
 class TestLevelAudit:
     def test_fixture_pair(self):
-        entry = level_parity_audit([(mate9_graph(), mate9_mate_graph())])[0]
+        entry = level_parity_audit(mate9_graph(), mate9_mate_graph())
+        d = entry.to_json_dict()
         assert entry.level == 3
         assert entry.dn == 30
-        assert entry.dn_mod_4 == 2 and entry.level_odd
+        assert d["dn_mod_4"] == 2 and d["level_odd"]
         # the only odd prime in the level is exactly the one where the
         # degree condition fails
-        assert entry.prime_checks == ((3, False, True),)
+        assert d["prime_checks"] == [{"p": "3", "eq4_holds": False, "divides_level": True}]
 
     def test_identity_pairs(self):
         g = mate9_graph()
-        entries = level_parity_audit([(g, g), (g, permuted(g, [8, 7, 6, 5, 4, 3, 2, 1, 0]))])
-        assert all(e.level == 1 for e in entries)
+        assert level_parity_audit(g, g).level == 1
+        assert level_parity_audit(g, permuted(g, [8, 7, 6, 5, 4, 3, 2, 1, 0])).level == 1
 
     def test_report_nullity_checked_against_invariant_factors(self, wrong_nullity):
         with pytest.raises(InvariantViolation, match="disagrees with the invariant factors at p=3"):
-            level_parity_audit([(mate9_graph(), mate9_mate_graph())])
+            level_parity_audit(mate9_graph(), mate9_mate_graph())
 
     def test_json_shape(self):
-        entry = level_parity_audit([(mate9_graph(), mate9_mate_graph())])[0]
+        entry = level_parity_audit(mate9_graph(), mate9_mate_graph())
         d = entry.to_json_dict()
         assert d["level"] == 3 and d["dn"] == "30"
         assert d["prime_checks"][0] == {"p": "3", "eq4_holds": False, "divides_level": True}
